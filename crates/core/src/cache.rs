@@ -308,9 +308,13 @@ impl FrameCache {
         rec: Arc<FunctionRecord>,
         bytes: u64,
     ) -> Arc<FunctionRecord> {
-        let before = self.lru.stats().evicted_bytes;
+        // `stats()` takes the LRU lock, so read it only when it is reported.
+        let before = self
+            .obs
+            .is_enabled()
+            .then(|| self.lru.stats().evicted_bytes);
         let out = self.lru.insert_or_get((archive_uid, func), rec, bytes);
-        if self.obs.is_enabled() {
+        if let Some(before) = before {
             let freed = self.lru.stats().evicted_bytes - before;
             if freed > 0 {
                 self.obs

@@ -139,17 +139,20 @@ fn header_bytes() -> [u8; WAL_HEADER_LEN] {
 }
 
 /// Encodes one record (header + payload) into `out`. `offset` is the
-/// global index of the batch's first event.
+/// global index of the batch's first event. The payload is written once,
+/// behind a placeholder `crc` that is patched in when it is complete.
 pub fn encode_record(offset: u64, events: &[WppEvent], out: &mut Vec<u8>) {
     let len = (events.len() * 4) as u32;
-    let mut body = Vec::with_capacity(8 + events.len() * 4);
-    body.extend_from_slice(&offset.to_le_bytes());
-    for e in events {
-        body.extend_from_slice(&e.encode().to_le_bytes());
-    }
+    let start = out.len();
+    out.reserve(WAL_RECORD_HEADER_LEN + events.len() * 4);
     out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(&offset.to_le_bytes());
+    for e in events {
+        out.extend_from_slice(&e.encode().to_le_bytes());
+    }
+    let crc = crc32(&out[start + 8..]);
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn read_u32(bytes: &[u8], at: usize) -> u32 {

@@ -388,104 +388,111 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame (header + body).
+    /// Serializes the frame (header + body). The body is written once,
+    /// behind a placeholder header whose `len` and `crc` are patched in
+    /// when the body is complete.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&self.kind().to_le_bytes());
+        let body_hint = match self {
+            Frame::Events { events, .. } => 12 + 4 * events.len(),
+            _ => 16,
+        };
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body_hint);
+        out.extend_from_slice(&NET_MAGIC);
+        out.extend_from_slice(&[0; 8]);
+        out.extend_from_slice(&self.kind().to_le_bytes());
         match self {
-            Frame::Hello { source } => body.extend_from_slice(source.as_bytes()),
+            Frame::Hello { source } => out.extend_from_slice(source.as_bytes()),
             Frame::Events { offset, events } => {
-                body.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&offset.to_le_bytes());
                 for e in events {
-                    body.extend_from_slice(&e.encode().to_le_bytes());
+                    out.extend_from_slice(&e.encode().to_le_bytes());
                 }
             }
             Frame::Seal | Frame::Drain => {}
-            Frame::Ok { accepted } => body.extend_from_slice(&accepted.to_le_bytes()),
-            Frame::Busy { retry_after_ms } => {
-                body.extend_from_slice(&retry_after_ms.to_le_bytes())
-            }
+            Frame::Ok { accepted } => out.extend_from_slice(&accepted.to_le_bytes()),
+            Frame::Busy { retry_after_ms } => out.extend_from_slice(&retry_after_ms.to_le_bytes()),
             Frame::Error { code, message } => {
-                body.extend_from_slice(&code.to_le_bytes());
-                body.extend_from_slice(message.as_bytes());
+                out.extend_from_slice(&code.to_le_bytes());
+                out.extend_from_slice(message.as_bytes());
             }
             Frame::Query { req, budget } => {
-                put_str(&mut body, &req.archive);
-                body.extend_from_slice(&req.func.to_le_bytes());
-                put_budget(&mut body, budget);
+                put_str(&mut out, &req.archive);
+                out.extend_from_slice(&req.func.to_le_bytes());
+                put_budget(&mut out, budget);
             }
             Frame::Slice { req, budget } => {
-                put_str(&mut body, &req.archive);
-                body.extend_from_slice(&req.func.to_le_bytes());
-                body.extend_from_slice(&req.trace.to_le_bytes());
-                body.extend_from_slice(&req.criterion.to_le_bytes());
-                put_budget(&mut body, budget);
+                put_str(&mut out, &req.archive);
+                out.extend_from_slice(&req.func.to_le_bytes());
+                out.extend_from_slice(&req.trace.to_le_bytes());
+                out.extend_from_slice(&req.criterion.to_le_bytes());
+                put_budget(&mut out, budget);
             }
             Frame::Currency { req, budget } => {
-                put_str(&mut body, &req.archive);
-                body.extend_from_slice(&req.func.to_le_bytes());
-                body.extend_from_slice(&req.trace.to_le_bytes());
-                body.extend_from_slice(&req.def_block.to_le_bytes());
-                body.extend_from_slice(&req.use_block.to_le_bytes());
-                body.extend_from_slice(&(req.redefs.len() as u32).to_le_bytes());
+                put_str(&mut out, &req.archive);
+                out.extend_from_slice(&req.func.to_le_bytes());
+                out.extend_from_slice(&req.trace.to_le_bytes());
+                out.extend_from_slice(&req.def_block.to_le_bytes());
+                out.extend_from_slice(&req.use_block.to_le_bytes());
+                out.extend_from_slice(&(req.redefs.len() as u32).to_le_bytes());
                 for r in &req.redefs {
-                    body.extend_from_slice(&r.to_le_bytes());
+                    out.extend_from_slice(&r.to_le_bytes());
                 }
-                put_budget(&mut body, budget);
+                put_budget(&mut out, budget);
             }
             Frame::ListArchives => {}
-            Frame::Stat { archive } => put_str(&mut body, archive),
+            Frame::Stat { archive } => put_str(&mut out, archive),
             Frame::Answer(a) => {
                 let tag = match &a.data {
                     AnswerData::Query { .. } => ANSWER_TAG_QUERY,
                     AnswerData::Slice { .. } => ANSWER_TAG_SLICE,
                     AnswerData::Currency { .. } => ANSWER_TAG_CURRENCY,
                 };
-                body.extend_from_slice(&tag.to_le_bytes());
-                body.extend_from_slice(&u32::from(a.complete).to_le_bytes());
-                body.extend_from_slice(&a.stop_code.to_le_bytes());
-                body.extend_from_slice(&a.coverage_bits.to_le_bytes());
-                put_str(&mut body, &a.text);
+                out.extend_from_slice(&tag.to_le_bytes());
+                out.extend_from_slice(&u32::from(a.complete).to_le_bytes());
+                out.extend_from_slice(&a.stop_code.to_le_bytes());
+                out.extend_from_slice(&a.coverage_bits.to_le_bytes());
+                put_str(&mut out, &a.text);
                 match &a.data {
                     AnswerData::Query { call_count, dicts, total_traces, rendered } => {
-                        body.extend_from_slice(&call_count.to_le_bytes());
-                        body.extend_from_slice(&dicts.to_le_bytes());
-                        body.extend_from_slice(&total_traces.to_le_bytes());
-                        body.extend_from_slice(&rendered.to_le_bytes());
+                        out.extend_from_slice(&call_count.to_le_bytes());
+                        out.extend_from_slice(&dicts.to_le_bytes());
+                        out.extend_from_slice(&total_traces.to_le_bytes());
+                        out.extend_from_slice(&rendered.to_le_bytes());
                     }
                     AnswerData::Slice { blocks } => {
-                        body.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+                        out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
                         for b in blocks {
-                            body.extend_from_slice(&b.to_le_bytes());
+                            out.extend_from_slice(&b.to_le_bytes());
                         }
                     }
                     AnswerData::Currency { current, total, holds, not_holds } => {
-                        body.extend_from_slice(&current.to_le_bytes());
-                        body.extend_from_slice(&total.to_le_bytes());
+                        out.extend_from_slice(&current.to_le_bytes());
+                        out.extend_from_slice(&total.to_le_bytes());
                         for words in [holds, not_holds] {
-                            body.extend_from_slice(&(words.len() as u32).to_le_bytes());
+                            out.extend_from_slice(&(words.len() as u32).to_le_bytes());
                             for w in words {
-                                body.extend_from_slice(&w.to_le_bytes());
+                                out.extend_from_slice(&w.to_le_bytes());
                             }
                         }
                     }
                 }
             }
             Frame::Archives { entries } => {
-                body.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 for e in entries {
-                    put_str(&mut body, &e.name);
-                    body.extend_from_slice(&e.functions.to_le_bytes());
-                    body.extend_from_slice(&u32::from(e.degraded).to_le_bytes());
-                    body.extend_from_slice(&e.file_bytes.to_le_bytes());
+                    put_str(&mut out, &e.name);
+                    out.extend_from_slice(&e.functions.to_le_bytes());
+                    out.extend_from_slice(&u32::from(e.degraded).to_le_bytes());
+                    out.extend_from_slice(&e.file_bytes.to_le_bytes());
                 }
             }
         }
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
-        out.extend_from_slice(&NET_MAGIC);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        let body = &out[FRAME_HEADER_LEN..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        out[4..8].copy_from_slice(&len.to_le_bytes());
+        out[8..12].copy_from_slice(&crc.to_le_bytes());
+        // Encoded requests are kept as summary-cache keys: return no slack.
+        out.shrink_to_fit();
         out
     }
 
@@ -516,8 +523,8 @@ impl Frame {
                 }
                 let offset = read_u64(payload, 0);
                 let mut events = Vec::with_capacity((payload.len() - 8) / 4);
-                for i in (8..payload.len()).step_by(4) {
-                    let word = read_u32(payload, i);
+                for w in payload[8..].chunks_exact(4) {
+                    let word = u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
                     match WppEvent::decode(word) {
                         Some(e) => events.push(e),
                         None => {

@@ -481,6 +481,8 @@ impl WppStream {
             self.magic_pending -= take;
             rest = &rest[take..];
         }
+        // The emitted words' bytes, checksummed in one call at the end.
+        let mut run = Vec::with_capacity(rest.len());
         for &b in rest {
             self.partial.push(b);
             if self.partial.len() == 4 {
@@ -492,7 +494,7 @@ impl WppStream {
                     let ready = self.holdback.remove(0);
                     match WppEvent::decode(ready) {
                         Some(e) => {
-                            self.crc.update(&ready.to_le_bytes());
+                            run.extend_from_slice(&ready.to_le_bytes());
                             self.emitted += 1;
                             out.push(e);
                         }
@@ -501,6 +503,7 @@ impl WppStream {
                 }
             }
         }
+        self.crc.update(&run);
         Ok(())
     }
 
