@@ -10,10 +10,16 @@
 //! function frames keyed by `(archive uid, func)` so one cache can be
 //! shared across a whole fleet of lazily-opened archives.
 //!
+//! Recency is an intrusive doubly linked list over a slab of entries,
+//! indexed by a `HashMap` from key to slab slot: a hit, an insert and
+//! each eviction are O(1) expected time, so a cache holding 100 000
+//! entries evicts as cheaply as one holding ten.
+//!
 //! [`LazyArchive`]: crate::lazy::LazyArchive
 
 #![deny(clippy::unwrap_used)]
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,16 +72,108 @@ impl CacheStats {
     }
 }
 
-struct Entry<V> {
+/// Slab index standing for "no node" at either end of the recency list.
+const NIL: usize = usize::MAX;
+
+struct Entry<K, V> {
+    key: K,
     value: V,
     bytes: u64,
-    stamp: u64,
+}
+
+/// One slab slot: its links in the recency list, or (while the slot
+/// is free) in the free list, which chains through `next`.
+struct Node<K, V> {
+    prev: usize,
+    next: usize,
+    /// `None` exactly while the slot is on the free list.
+    entry: Option<Entry<K, V>>,
 }
 
 struct Inner<K, V> {
-    map: HashMap<K, Entry<V>>,
+    map: HashMap<K, usize>,
+    nodes: Vec<Node<K, V>>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next eviction victim.
+    tail: usize,
+    /// First free slot.
+    free: usize,
     used: u64,
-    clock: u64,
+}
+
+impl<K: Eq + Hash, V> Inner<K, V> {
+    fn entry(&self, i: usize) -> &Entry<K, V> {
+        self.nodes[i]
+            .entry
+            .as_ref()
+            .expect("slots reachable from the map or the recency list hold an entry")
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Node { prev, next, .. } = self.nodes[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        self.nodes[i].prev = NIL;
+        self.nodes[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.nodes[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// Stores `entry` in a free slot (or a new one) at the head.
+    fn push(&mut self, entry: Entry<K, V>) -> usize {
+        let node = Node {
+            prev: NIL,
+            next: NIL,
+            entry: Some(entry),
+        };
+        let i = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+            i => {
+                self.free = self.nodes[i].next;
+                self.nodes[i] = node;
+                i
+            }
+        };
+        self.push_front(i);
+        i
+    }
+
+    /// Unlinks slot `i`, returns it to the free list and removes its
+    /// key from the map, handing back the entry it held.
+    fn remove(&mut self, i: usize) -> Entry<K, V> {
+        self.unlink(i);
+        let node = &mut self.nodes[i];
+        let e = node.entry.take().expect("a linked slot holds an entry");
+        node.next = self.free;
+        self.free = i;
+        self.map.remove(&e.key);
+        self.used -= e.bytes;
+        e
+    }
 }
 
 /// A byte-capped LRU map. `get` refreshes recency; `insert_or_get`
@@ -84,6 +182,14 @@ struct Inner<K, V> {
 /// returned to the caller — the cache degrades to pass-through, it
 /// never refuses work). All methods take `&self`; the cache is shared
 /// behind an `Arc` across threads.
+///
+/// Entries live in a slab `Vec` threaded by an intrusive doubly linked
+/// recency list (`prev`/`next` slot indices, most recent at the head),
+/// with a `HashMap` from key to slot. A hit moves its slot to the head
+/// and eviction pops the tail, so `get`, `insert_or_get` and each
+/// eviction cost O(1) expected time whatever the entry count; `retain`
+/// is O(entries). Freed slots go on a free list and are reused, so the
+/// slab never outgrows the most entries ever resident at once.
 pub struct ByteLruCache<K, V> {
     cap: u64,
     inner: Mutex<Inner<K, V>>,
@@ -100,8 +206,11 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteLruCache<K, V> {
             cap: cap_bytes,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
+                nodes: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                free: NIL,
                 used: 0,
-                clock: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -115,16 +224,19 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteLruCache<K, V> {
         self.cap
     }
 
-    /// Looks up `key`, refreshing its recency on a hit.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// Looks up `key` (any borrowed form of `K`, so a lookup need not
+    /// build an owned key), refreshing its recency on a hit.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: ?Sized + Hash + Eq,
+    {
         let mut inner = lock_unpoisoned(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                e.stamp = clock;
+        match inner.map.get(key).copied() {
+            Some(i) => {
+                inner.touch(i);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.value.clone())
+                Some(inner.entry(i).value.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -139,59 +251,59 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteLruCache<K, V> {
     /// concurrent decoders converge on one canonical `Arc`). A value
     /// heavier than the whole cap is returned without being stored.
     pub fn insert_or_get(&self, key: K, value: V, bytes: u64) -> V {
+        self.insert_or_get_evicting(key, value, bytes).0
+    }
+
+    /// [`insert_or_get`](Self::insert_or_get), also returning the bytes
+    /// this call evicted to make room (`0` on a hit or a pass-through).
+    pub fn insert_or_get_evicting(&self, key: K, value: V, bytes: u64) -> (V, u64) {
         let mut inner = lock_unpoisoned(&self.inner);
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(e) = inner.map.get_mut(&key) {
-            e.stamp = clock;
-            return e.value.clone();
+        if let Some(&i) = inner.map.get(&key) {
+            inner.touch(i);
+            return (inner.entry(i).value.clone(), 0);
         }
         if bytes > self.cap {
-            return value;
+            return (value, 0);
         }
-        while inner.used + bytes > self.cap {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(e) = inner.map.remove(&victim) {
-                inner.used -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                self.evicted_bytes.fetch_add(e.bytes, Ordering::Relaxed);
-            }
+        // Clone before touching the list: a panicking clone leaves it whole.
+        let entry = Entry {
+            key: key.clone(),
+            value: value.clone(),
+            bytes,
+        };
+        let (mut evicted, mut freed) = (0u64, 0u64);
+        while inner.used + bytes > self.cap && inner.tail != NIL {
+            let tail = inner.tail;
+            freed += inner.remove(tail).bytes;
+            evicted += 1;
         }
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            self.evicted_bytes.fetch_add(freed, Ordering::Relaxed);
+        }
+        let i = inner.push(entry);
         inner.used += bytes;
-        inner.map.insert(
-            key,
-            Entry {
-                value: value.clone(),
-                bytes,
-                stamp: clock,
-            },
-        );
-        value
+        inner.map.insert(key, i);
+        (value, freed)
     }
 
     /// Drops every entry whose key fails `keep`, returning the number
-    /// removed. Used to invalidate one archive's frames on rescan.
+    /// removed. `keep` sees the keys from most to least recently used
+    /// and does not refresh them. Used to invalidate one archive's
+    /// frames on rescan.
     pub fn retain(&self, mut keep: impl FnMut(&K) -> bool) -> usize {
         let mut inner = lock_unpoisoned(&self.inner);
-        let before = inner.map.len();
-        let mut freed = 0u64;
-        inner.map.retain(|k, e| {
-            if keep(k) {
-                true
-            } else {
-                freed += e.bytes;
-                false
+        let mut removed = 0;
+        let mut i = inner.head;
+        while i != NIL {
+            let next = inner.nodes[i].next;
+            if !keep(&inner.entry(i).key) {
+                inner.remove(i);
+                removed += 1;
             }
-        });
-        inner.used -= freed;
-        before - inner.map.len()
+            i = next;
+        }
+        removed
     }
 
     /// Drops everything.
@@ -212,6 +324,12 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteLruCache<K, V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Slab slots allocated: resident entries plus freed slots awaiting
+    /// reuse. Never more than the most entries ever resident at once.
+    pub fn slots(&self) -> usize {
+        lock_unpoisoned(&self.inner).nodes.len()
     }
 
     /// Point-in-time counters.
@@ -308,22 +426,16 @@ impl FrameCache {
         rec: Arc<FunctionRecord>,
         bytes: u64,
     ) -> Arc<FunctionRecord> {
-        // `stats()` takes the LRU lock, so read it only when it is reported.
-        let before = self
-            .obs
-            .is_enabled()
-            .then(|| self.lru.stats().evicted_bytes);
-        let out = self.lru.insert_or_get((archive_uid, func), rec, bytes);
-        if let Some(before) = before {
-            let freed = self.lru.stats().evicted_bytes - before;
-            if freed > 0 {
-                self.obs
-                    .counter(
-                        "twpp_serve_frame_cache_evicted_bytes_total",
-                        "Bytes of decoded frames evicted to stay under the cache cap",
-                    )
-                    .add(freed);
-            }
+        let (out, freed) = self
+            .lru
+            .insert_or_get_evicting((archive_uid, func), rec, bytes);
+        if freed > 0 && self.obs.is_enabled() {
+            self.obs
+                .counter(
+                    "twpp_serve_frame_cache_evicted_bytes_total",
+                    "Bytes of decoded frames evicted to stay under the cache cap",
+                )
+                .add(freed);
         }
         out
     }

@@ -388,15 +388,23 @@ impl Frame {
         }
     }
 
-    /// Serializes the frame (header + body). The body is written once,
-    /// behind a placeholder header whose `len` and `crc` are patched in
-    /// when the body is complete.
+    /// Serializes the frame (header + body).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the serialized frame (header + body) to `out`. The body
+    /// is written once, behind a placeholder header whose `len` and
+    /// `crc` are patched in when the body is complete.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let body_hint = match self {
             Frame::Events { events, .. } => 12 + 4 * events.len(),
             _ => 16,
         };
-        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body_hint);
+        out.reserve(FRAME_HEADER_LEN + body_hint);
+        let start = out.len();
         out.extend_from_slice(&NET_MAGIC);
         out.extend_from_slice(&[0; 8]);
         out.extend_from_slice(&self.kind().to_le_bytes());
@@ -416,19 +424,19 @@ impl Frame {
                 out.extend_from_slice(message.as_bytes());
             }
             Frame::Query { req, budget } => {
-                put_str(&mut out, &req.archive);
+                put_str(out, &req.archive);
                 out.extend_from_slice(&req.func.to_le_bytes());
-                put_budget(&mut out, budget);
+                put_budget(out, budget);
             }
             Frame::Slice { req, budget } => {
-                put_str(&mut out, &req.archive);
+                put_str(out, &req.archive);
                 out.extend_from_slice(&req.func.to_le_bytes());
                 out.extend_from_slice(&req.trace.to_le_bytes());
                 out.extend_from_slice(&req.criterion.to_le_bytes());
-                put_budget(&mut out, budget);
+                put_budget(out, budget);
             }
             Frame::Currency { req, budget } => {
-                put_str(&mut out, &req.archive);
+                put_str(out, &req.archive);
                 out.extend_from_slice(&req.func.to_le_bytes());
                 out.extend_from_slice(&req.trace.to_le_bytes());
                 out.extend_from_slice(&req.def_block.to_le_bytes());
@@ -437,10 +445,10 @@ impl Frame {
                 for r in &req.redefs {
                     out.extend_from_slice(&r.to_le_bytes());
                 }
-                put_budget(&mut out, budget);
+                put_budget(out, budget);
             }
             Frame::ListArchives => {}
-            Frame::Stat { archive } => put_str(&mut out, archive),
+            Frame::Stat { archive } => put_str(out, archive),
             Frame::Answer(a) => {
                 let tag = match &a.data {
                     AnswerData::Query { .. } => ANSWER_TAG_QUERY,
@@ -451,7 +459,7 @@ impl Frame {
                 out.extend_from_slice(&u32::from(a.complete).to_le_bytes());
                 out.extend_from_slice(&a.stop_code.to_le_bytes());
                 out.extend_from_slice(&a.coverage_bits.to_le_bytes());
-                put_str(&mut out, &a.text);
+                put_str(out, &a.text);
                 match &a.data {
                     AnswerData::Query { call_count, dicts, total_traces, rendered } => {
                         out.extend_from_slice(&call_count.to_le_bytes());
@@ -480,20 +488,17 @@ impl Frame {
             Frame::Archives { entries } => {
                 out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
                 for e in entries {
-                    put_str(&mut out, &e.name);
+                    put_str(out, &e.name);
                     out.extend_from_slice(&e.functions.to_le_bytes());
                     out.extend_from_slice(&u32::from(e.degraded).to_le_bytes());
                     out.extend_from_slice(&e.file_bytes.to_le_bytes());
                 }
             }
         }
-        let body = &out[FRAME_HEADER_LEN..];
+        let body = &out[start + FRAME_HEADER_LEN..];
         let (len, crc) = (body.len() as u32, crc32(body));
-        out[4..8].copy_from_slice(&len.to_le_bytes());
-        out[8..12].copy_from_slice(&crc.to_le_bytes());
-        // Encoded requests are kept as summary-cache keys: return no slack.
-        out.shrink_to_fit();
-        out
+        out[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
+        out[start + 8..start + 12].copy_from_slice(&crc.to_le_bytes());
     }
 
     /// Decodes a CRC-verified frame body (kind word + payload).

@@ -5,11 +5,12 @@
 //! hundreds of archives costs metadata reads only — decoded frames land
 //! in one shared byte-capped [`FrameCache`], the single knob bounding
 //! resident frame bytes across all tenants. A second byte-capped LRU
-//! holds solved answer summaries keyed by `(archive uid, request bytes,
-//! budget class)`; because the uid is process-unique *per open*, a
-//! rescan that reopens a changed file invalidates both caches for the
-//! old epoch automatically, and [`Fleet::rescan`] proactively purges
-//! the dead uid's entries so the bytes come back immediately.
+//! holds solved answer summaries keyed by archive uid and encoded
+//! request (which carries the budget class); because the uid is
+//! process-unique *per open*, a rescan that reopens a changed file
+//! invalidates both caches for the old epoch automatically, and
+//! [`Fleet::rescan`] proactively purges the dead uid's entries so the
+//! bytes come back immediately.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -17,11 +18,14 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use twpp::cache::{ByteLruCache, CacheStats, FrameCache};
 use twpp::lazy::LazyArchive;
-use twpp::net::{valid_source_name, Answer, ArchiveStat};
+use twpp::net::{valid_source_name, Answer, ArchiveStat, Frame};
 use twpp::obs::Obs;
 
 /// Default byte cap of the answer-summary cache.
 pub const DEFAULT_SUMMARY_CACHE_BYTES: u64 = 8 << 20;
+
+/// Length of the archive-uid prefix of a summary-cache key.
+const UID_LEN: usize = std::mem::size_of::<u64>();
 
 /// One archive under the fleet root, open lazily.
 pub struct Tenant {
@@ -73,10 +77,11 @@ impl ScanDelta {
 pub struct Fleet {
     root: PathBuf,
     frames: Arc<FrameCache>,
-    /// Answer summaries: `(archive uid, key bytes)` → cached reply.
-    /// Key bytes are the encoded request frame plus the resolved budget
-    /// class, so differently-budgeted requests never alias.
-    summaries: ByteLruCache<(u64, Vec<u8>), Arc<Answer>>,
+    /// Answer summaries: [`Fleet::summary_key`] bytes → cached reply.
+    /// The encoded request frame carries the budget spec, so
+    /// differently-budgeted requests never alias. One shared allocation
+    /// serves as both the map's and the recency list's copy of a key.
+    summaries: ByteLruCache<Arc<[u8]>, Arc<Answer>>,
     tenants: RwLock<HashMap<String, Arc<Tenant>>>,
     /// Last rescan's open failures, for `/status`.
     failures: Mutex<Vec<(String, String)>>,
@@ -188,7 +193,8 @@ impl Fleet {
         }
         for uid in retired {
             self.frames.invalidate_archive(uid);
-            self.summaries.retain(|(u, _)| *u != uid);
+            let prefix = uid.to_le_bytes();
+            self.summaries.retain(|k| !k.starts_with(&prefix));
         }
         delta.opened.sort();
         delta.removed.sort();
@@ -244,10 +250,21 @@ impl Fleet {
         lock_unpoisoned(&self.failures).clone()
     }
 
-    /// A cached answer for `(uid, key)`, if present. Counts
+    /// The summary-cache key of `request` on archive `uid`: the uid's
+    /// little-endian bytes followed by the encoded request frame.
+    pub fn summary_key(uid: u64, request: &Frame) -> Vec<u8> {
+        // Room for the uid and a typical request frame in one allocation.
+        let mut key = Vec::with_capacity(96);
+        key.extend_from_slice(&uid.to_le_bytes());
+        request.encode_into(&mut key);
+        key
+    }
+
+    /// A cached answer for a [`Fleet::summary_key`], if present; the
+    /// lookup allocates nothing. Counts
     /// `twpp_serve_summary_cache_{hits,misses}_total`.
-    pub fn summary_get(&self, uid: u64, key: &[u8]) -> Option<Arc<Answer>> {
-        let hit = self.summaries.get(&(uid, key.to_vec()));
+    pub fn summary_lookup(&self, key: &[u8]) -> Option<Arc<Answer>> {
+        let hit = self.summaries.get(key);
         if self.obs.is_enabled() {
             let (name, help) = if hit.is_some() {
                 ("twpp_serve_summary_cache_hits_total", "Answers served from the summary cache")
@@ -259,11 +276,36 @@ impl Fleet {
         hit
     }
 
-    /// Caches `answer` for `(uid, key)`, weighted by its rendered size.
-    /// Returns the canonical entry (an earlier racing insert wins).
-    pub fn summary_put(&self, uid: u64, key: Vec<u8>, answer: Arc<Answer>) -> Arc<Answer> {
-        let bytes = (key.len() + answer.text.len() + 64) as u64;
-        self.summaries.insert_or_get((uid, key), answer, bytes)
+    /// Caches `answer` under a [`Fleet::summary_key`], weighted by the
+    /// request and rendered sizes. Returns the canonical entry (an
+    /// earlier racing insert wins). Counts
+    /// `twpp_serve_summary_cache_evicted_bytes_total`.
+    pub fn summary_insert(&self, key: &[u8], answer: Arc<Answer>) -> Arc<Answer> {
+        let bytes = (key.len().saturating_sub(UID_LEN) + answer.text.len() + 64) as u64;
+        let (answer, freed) = self
+            .summaries
+            .insert_or_get_evicting(Arc::from(key), answer, bytes);
+        if freed > 0 && self.obs.is_enabled() {
+            self.obs
+                .counter(
+                    "twpp_serve_summary_cache_evicted_bytes_total",
+                    "Bytes of answer summaries evicted to stay under the cache cap",
+                )
+                .add(freed);
+        }
+        answer
+    }
+
+    /// [`Fleet::summary_lookup`] for an encoded request frame `request`
+    /// on archive `uid`.
+    pub fn summary_get(&self, uid: u64, request: &[u8]) -> Option<Arc<Answer>> {
+        self.summary_lookup(&[&uid.to_le_bytes()[..], request].concat())
+    }
+
+    /// [`Fleet::summary_insert`] for an encoded request frame `request`
+    /// on archive `uid`.
+    pub fn summary_put(&self, uid: u64, request: Vec<u8>, answer: Arc<Answer>) -> Arc<Answer> {
+        self.summary_insert(&[&uid.to_le_bytes()[..], &request].concat(), answer)
     }
 
     /// Summary-cache statistics.

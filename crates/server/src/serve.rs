@@ -189,9 +189,9 @@ impl Registry {
             Err(reply) => return reply,
         };
         let uid = tenant.archive.archive_uid();
-        let key = frame.encode();
+        let key = Fleet::summary_key(uid, frame);
         if self.opts.cache_answers {
-            if let Some(hit) = self.fleet.summary_get(uid, &key) {
+            if let Some(hit) = self.fleet.summary_lookup(&key) {
                 self.count_answer(&hit);
                 return Frame::Answer(Box::new((*hit).clone()));
             }
@@ -212,7 +212,7 @@ impl Registry {
                 let deterministic = answer.complete || answer.stop_code == 2;
                 let answer = Arc::new(answer);
                 let answer = if self.opts.cache_answers && deterministic {
-                    self.fleet.summary_put(uid, key, answer)
+                    self.fleet.summary_insert(&key, answer)
                 } else {
                     answer
                 };
