@@ -1,10 +1,16 @@
-//! Profile-limited data flow query costs: the demand-driven propagation
-//! with compacted timestamp vectors vs a naive full-trace replay.
+//! Profile-limited data flow query costs: the served demand-driven
+//! engine vs a naive full-trace replay, and the served GEN/KILL sweep vs
+//! the paper's timestamp-vector propagation on a long loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use twpp::gov::Budget;
 use twpp_dataflow::dyncfg::DynCfg;
 use twpp_dataflow::redundancy::{load_redundancy, loads_in};
-use twpp_dataflow::{solve_backward, solve_by_replay, AvailableLoad};
+use twpp_dataflow::{
+    solve_backward, solve_backward_effects_governed, solve_by_propagation, solve_by_replay,
+    AvailableLoad, Effect,
+};
+use twpp_ir::BlockId;
 use twpp_ir::Operand;
 use twpp_lang::{compile_with_options, LowerOptions};
 use twpp_tracer::{run_traced, ExecLimits};
@@ -89,6 +95,47 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("build_dyncfg", |b| {
         b.iter(|| DynCfg::from_block_sequence(std::hint::black_box(&trace)).node_count())
+    });
+
+    // A currency question on a 34 765-event trace shaped like 099.go's
+    // main loop: a def before a 4-block loop that never redefines the
+    // value, asked at every execution of the loop's last block. Each
+    // queried position walks back to the def, so the propagation pops
+    // once per trace position; the sweep takes two budget steps.
+    let mut ids = vec![5u32];
+    while ids.len() < 34_765 {
+        ids.push(1 + (ids.len() as u32 - 1) % 4);
+    }
+    let loop_seq: Vec<BlockId> = ids.into_iter().map(BlockId::new).collect();
+    let loop_cfg = DynCfg::from_block_sequence(&loop_seq);
+    let node_of = |b: u32| loop_cfg.node_by_head(BlockId::new(b)).expect("block runs");
+    let mut loop_effects = vec![Effect::Transparent; loop_cfg.node_count()];
+    loop_effects[node_of(5)] = Effect::Gen;
+    let use_node = node_of(4);
+    let use_ts = loop_cfg.node(use_node).ts.clone();
+    group.bench_function("loop_currency_sweep", |b| {
+        b.iter(|| {
+            solve_backward_effects_governed(
+                std::hint::black_box(&loop_cfg),
+                &loop_effects,
+                use_node,
+                std::hint::black_box(&use_ts),
+                &Budget::unlimited(),
+            )
+            .result()
+            .frequency()
+        })
+    });
+    group.bench_function("loop_currency_propagation", |b| {
+        b.iter(|| {
+            solve_by_propagation(
+                std::hint::black_box(&loop_cfg),
+                &loop_effects,
+                use_node,
+                std::hint::black_box(&use_ts),
+            )
+            .frequency()
+        })
     });
 
     // Interprocedural slicing over a call-heavy program.

@@ -5,8 +5,10 @@
 //!
 //! * [`DynCfg`] — the timestamp-annotated dynamic control flow graph
 //!   (§4.1), the representation all analyses run on;
-//! * [`query`] — demand-driven backward GEN-KILL query propagation with
-//!   compacted timestamp vectors (§4.2), plus a naive replay oracle;
+//! * [`query`] — demand-driven backward GEN-KILL queries (§4.2): a sweep
+//!   over the GEN/KILL projection of the dynamic CFG, the paper's
+//!   propagation with compacted timestamp vectors as its reference, and a
+//!   naive replay oracle;
 //! * [`reachdefs`] — classic static reaching definitions (the static side
 //!   of Table 6's comparison and the PDG for slicing approach 1);
 //! * [`redundancy`] — dynamic load-redundancy degrees for profile-guided
@@ -45,8 +47,8 @@ pub use interslice::{InterCriterion, InterSliceOutcome, InterSlicer, SlicePoint}
 pub use optimize::{all_redundant_load_candidates, redundant_load_candidates, LoadCandidate};
 pub use query::{
     node_effects, solve_backward, solve_backward_effects_governed, solve_backward_governed,
-    solve_by_replay, solve_by_replay_effects_governed, solve_by_replay_governed, QueryOutcome,
-    QueryResult,
+    solve_by_propagation, solve_by_replay, solve_by_replay_effects_governed,
+    solve_by_replay_governed, QueryOutcome, QueryResult,
 };
 pub use reach::{backward_reach_governed, block_effects, ReachOutcome};
 pub use reachdefs::ReachingDefs;

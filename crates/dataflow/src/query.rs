@@ -1,12 +1,24 @@
-//! Demand-driven, profile-limited GEN-KILL query propagation (§4.2).
+//! Demand-driven, profile-limited GEN-KILL queries (§4.2).
 //!
 //! A query `<T, n>_d` asks: *does fact `d` hold immediately before each of
-//! node `n`'s executions at timestamps `T`?* The engine propagates a
-//! compacted timestamp vector backwards through the timestamp-annotated
-//! dynamic CFG: at every step all traversal points decrement together
-//! (one [`TsSet::shift`] per entry, not per timestamp), are routed to the
-//! predecessors whose timestamp sets contain them, and are resolved where
-//! the predecessor's `DGEN`/`DKILL` answers the query.
+//! node `n`'s executions at timestamps `T`?* Walking backwards from
+//! timestamp `t`, the answer is decided by the first `DGEN`/`DKILL` node
+//! met, i.e. by the nearest GEN or KILL *position* before `t`.
+//!
+//! Two engines compute it:
+//!
+//! * the served engine ([`solve_backward`] and its governed/observed
+//!   forms) projects the dynamic CFG onto its GEN and KILL nodes — their
+//!   timestamp sets are exactly the positions that can decide a query —
+//!   and sweeps the queried timestamps once, in ascending order, against
+//!   that projection: O(trace length) per query;
+//! * the paper's propagation ([`solve_by_propagation`]) moves a compacted
+//!   timestamp vector backwards through the dynamic CFG: at every step all
+//!   traversal points decrement together (one [`TsSet::shift`] per entry,
+//!   not per timestamp), are routed to the predecessors whose timestamp
+//!   sets contain them, and are resolved where the predecessor's
+//!   `DGEN`/`DKILL` answers the query. It is kept as the reference, next
+//!   to the replay oracle [`solve_by_replay`].
 //!
 //! Solving `<T(n), n>_d` yields the *frequency* with which `d` holds — the
 //! paper's hot-data-flow-fact primitive for profile-guided optimization.
@@ -57,23 +69,24 @@ impl QueryResult {
 /// fraction of them.
 ///
 /// A `Partial` answer is still *sound*: every timestamp in
-/// `result.holds`/`result.not_holds` was fully propagated. The unresolved
+/// `result.holds`/`result.not_holds` was fully resolved. The unresolved
 /// timestamps are simply absent from both sets.
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub enum QueryOutcome {
     /// Every queried timestamp was resolved.
     Complete(QueryResult),
-    /// The budget stopped propagation before every timestamp resolved.
+    /// The budget stopped the query before every timestamp resolved.
     Partial {
         /// The resolved portion of the answer (sound, possibly empty).
         result: QueryResult,
         /// Fraction of the queried timestamps that were resolved, in
         /// `[0, 1]`.
         coverage: f64,
-        /// Worklist nodes visited before the stop.
+        /// Budget steps taken before the stop: one for the GEN/KILL
+        /// projection, then one per queried series entry resolved.
         visited: u64,
-        /// Why propagation stopped.
+        /// Why the query stopped.
         reason: StopReason,
     },
 }
@@ -154,11 +167,14 @@ pub fn solve_backward<F: GenKillFact + ?Sized>(
 
 /// Budget-governed variant of [`solve_backward`].
 ///
-/// The budget is charged one step per worklist pop and checked at the
-/// same cadence, so a deadline or step cap stops propagation within one
-/// node visit. On a stop the already-resolved timestamps are returned as
-/// [`QueryOutcome::Partial`]; coverage is deterministic for a given step
-/// cap because the worklist order is deterministic.
+/// The budget is charged in budget steps: one before the GEN/KILL
+/// projection is built, then one per queried series entry, in ascending
+/// order, checked at the same cadence. On a stop the timestamps of the
+/// entries already resolved are returned as [`QueryOutcome::Partial`]:
+/// a sound subset of the complete answer whose coverage is deterministic
+/// and monotone in the step cap. A budget that is already spent (an
+/// expired deadline, a cancelled token) resolves nothing and reports
+/// `visited == 0`.
 pub fn solve_backward_governed<F: GenKillFact + ?Sized>(
     dcfg: &DynCfg,
     func: &Function,
@@ -171,8 +187,8 @@ pub fn solve_backward_governed<F: GenKillFact + ?Sized>(
 }
 
 /// Observed variant of [`solve_backward_governed`]: additionally records
-/// the `twpp_dataflow_query_*` counters (queries issued, worklist nodes
-/// visited, partial answers) into `obs`. The outcome is identical.
+/// the `twpp_dataflow_query_*` counters (queries issued, budget steps
+/// taken, partial answers) into `obs`. The outcome is identical.
 pub fn solve_backward_observed<F: GenKillFact + ?Sized>(
     dcfg: &DynCfg,
     func: &Function,
@@ -192,7 +208,7 @@ pub fn solve_backward_observed<F: GenKillFact + ?Sized>(
         .inc();
         obs.counter(
             "twpp_dataflow_query_nodes_visited_total",
-            "Worklist nodes visited by backward query propagation",
+            "Budget steps taken by backward queries (one per GEN/KILL projection and per queried series entry)",
         )
         .add(visited);
         if !outcome.is_complete() {
@@ -236,6 +252,16 @@ pub fn solve_backward_effects_governed(
     solve_backward_effects_impl(dcfg, effects, node, ts, budget).0
 }
 
+/// The served engine: a sweep of the queried timestamps against the
+/// GEN/KILL projection of `dcfg`. Returns the outcome and the budget
+/// steps taken.
+///
+/// Every position `1..=len` belongs to exactly one node (decoding rejects
+/// timestamp sets that do not partition the trace), so walking backwards
+/// from `t` meets the positions `t-1, t-2, …` in turn and stops at the
+/// first one whose node generates or kills the fact. That position is the
+/// nearest GEN or KILL position before `t`: a GEN means the fact holds,
+/// a KILL — or no such position at all — means it does not.
 fn solve_backward_effects_impl(
     dcfg: &DynCfg,
     effects: &[Effect],
@@ -243,75 +269,131 @@ fn solve_backward_effects_impl(
     ts: &TsSet,
     budget: &Budget,
 ) -> (QueryOutcome, u64) {
-    let mut result = QueryResult::default();
-    let initial = ts.intersect(&dcfg.node(node).ts);
-    if initial.is_empty() {
-        return (QueryOutcome::Complete(result), 0);
+    let queried = ts.intersect(&dcfg.node(node).ts);
+    if queried.is_empty() {
+        return (QueryOutcome::Complete(QueryResult::default()), 0);
     }
-    let total = initial.len() as f64;
+    let mut holds = Vec::new();
+    let mut not_holds = Vec::new();
     let mut visited: u64 = 0;
-    // Worklist of propagation states: (node, positions, depth). A position
-    // `v` at depth `k` stands for original query timestamp `v + k`.
-    let mut work: Vec<(usize, TsSet, u32)> = vec![(node, initial, 0)];
-    while let Some((n, positions, depth)) = work.pop() {
+    let stop = 'sweep: {
         if let Err(reason) = budget.charge_step() {
-            let coverage =
-                (result.holds.len() as f64 + result.not_holds.len() as f64) / total;
-            return (
-                QueryOutcome::Partial {
-                    result,
-                    coverage,
-                    visited,
-                    reason,
-                },
-                visited,
-            );
+            break 'sweep Some(reason);
         }
         visited += 1;
+        // The projection: the effect at every GEN/KILL position below the
+        // last queried timestamp (later ones cannot decide anything).
+        let last = queried.last().unwrap_or(0) as usize;
+        let mut effect_at = vec![Effect::Transparent; last];
+        for (n, &effect) in dcfg.nodes().iter().zip(effects) {
+            if effect != Effect::Transparent {
+                for t in n.ts.iter().take_while(|&t| (t as usize) < last) {
+                    effect_at[t as usize] = effect;
+                }
+            }
+        }
+        // The sweep: `holding` is the fact's state after every position
+        // below `next`.
+        let mut holding = false;
+        let mut next = 1;
+        for entry in queried.entries() {
+            if let Err(reason) = budget.charge_step() {
+                break 'sweep Some(reason);
+            }
+            visited += 1;
+            for t in entry.iter() {
+                let passed = &effect_at[next..t as usize];
+                if let Some(&effect) = passed.iter().rfind(|&&e| e != Effect::Transparent) {
+                    holding = effect == Effect::Gen;
+                }
+                next = t as usize;
+                if holding {
+                    holds.push(t);
+                } else {
+                    not_holds.push(t);
+                }
+            }
+        }
+        None
+    };
+    let resolved = (holds.len() + not_holds.len()) as f64;
+    let result = QueryResult {
+        holds: TsSet::from_sorted(&holds),
+        not_holds: TsSet::from_sorted(&not_holds),
+    };
+    let outcome = match stop {
+        None => QueryOutcome::Complete(result),
+        Some(reason) => QueryOutcome::Partial {
+            result,
+            coverage: resolved / queried.len() as f64,
+            visited,
+            reason,
+        },
+    };
+    (outcome, visited)
+}
+
+/// The paper's backward propagation (§4.2), kept as the reference for
+/// the served engine: a compacted timestamp vector moves backwards
+/// through the dynamic CFG one simultaneous traversal step at a time and
+/// resolves where a predecessor's effect answers the query.
+///
+/// `effects[i]` is node `i`'s summary (see [`node_effects`]); its length
+/// must equal `dcfg.nodes().len()`. Ungoverned: it always runs to
+/// completion.
+pub fn solve_by_propagation(
+    dcfg: &DynCfg,
+    effects: &[Effect],
+    node: usize,
+    ts: &TsSet,
+) -> QueryResult {
+    assert_eq!(effects.len(), dcfg.nodes().len(), "one effect per dynamic node");
+    // Resolved timestamps are collected and turned into sets once at the
+    // end: re-unioning growing, fragmented sets on every pop is quadratic
+    // in the trace length.
+    let mut holds = Vec::new();
+    let mut not_holds = Vec::new();
+    // Worklist of propagation states: (node, positions, depth). A position
+    // `v` at depth `k` stands for original query timestamp `v + k`.
+    let mut work: Vec<(usize, TsSet, u32)> = vec![(node, ts.intersect(&dcfg.node(node).ts), 0)];
+    while let Some((n, positions, depth)) = work.pop() {
+        let back = i64::from(depth) + 1;
         let shifted = positions.shift(-1);
-        // Positions that fell off the front of the trace reached the
-        // function entry unresolved: the fact does not hold there.
-        let mut routed = TsSet::new();
+        let mut routed = 0;
         for &m in dcfg.preds(n) {
             let to_m = shifted.intersect(&dcfg.node(m).ts);
             if to_m.is_empty() {
                 continue;
             }
-            routed = routed.union(&to_m);
+            routed += to_m.len();
             match effects[m] {
-                Effect::Gen => {
-                    result.holds = result.holds.union(&to_m.shift(i64::from(depth) + 1));
-                }
-                Effect::Kill => {
-                    result.not_holds = result.not_holds.union(&to_m.shift(i64::from(depth) + 1));
-                }
+                Effect::Gen => holds.extend(to_m.shift(back).iter()),
+                Effect::Kill => not_holds.extend(to_m.shift(back).iter()),
                 Effect::Transparent => work.push((m, to_m, depth + 1)),
             }
         }
-        let lost = shifted.subtract(&routed);
-        if !lost.is_empty() {
-            result.not_holds = result
-                .not_holds
-                .union(&lost.shift(i64::from(depth) + 1));
-        }
+        // Node timestamp sets partition the trace, and the node at `v - 1`
+        // is a predecessor of the node at `v`, so the routed pieces cover
+        // `shifted` exactly.
+        assert_eq!(routed, shifted.len(), "every position has a predecessor node");
         // Positions at timestamp 1 vanish in the shift: they are at the
         // very start of the trace, so nothing precedes them.
-        let at_entry = positions.len() - shifted.len();
-        if at_entry > 0 {
-            if let Some(first) = positions.first() {
-                debug_assert_eq!(first, 1);
-                result.not_holds = result
-                    .not_holds
-                    .union(&TsSet::from_sorted(&[first + depth]));
-            }
+        if positions.len() > shifted.len() {
+            debug_assert_eq!(positions.first(), Some(1));
+            not_holds.push(1 + depth);
         }
     }
-    (QueryOutcome::Complete(result), visited)
+    holds.sort_unstable();
+    not_holds.sort_unstable();
+    QueryResult {
+        holds: TsSet::from_sorted(&holds),
+        not_holds: TsSet::from_sorted(&not_holds),
+    }
 }
 
 /// Naive oracle: answers the same query by replaying the full block
-/// sequence (used to validate the propagation engine in tests and as the
-/// baseline in the ablation benchmarks).
+/// sequence (used to validate the served engine and the propagation
+/// reference in tests, and as the baseline in the ablation benchmarks).
 pub fn solve_by_replay<F: GenKillFact + ?Sized>(
     dcfg: &DynCfg,
     func: &Function,
@@ -540,9 +622,13 @@ mod tests {
             let Some(n) = dcfg.node_by_head(b(head)) else {
                 continue;
             };
-            let fast = solve_backward(&dcfg, func, &fact, n, &dcfg.node(n).ts);
-            let slow = solve_by_replay(&dcfg, func, &fact, n, &dcfg.node(n).ts);
+            let ts = &dcfg.node(n).ts;
+            let fast = solve_backward(&dcfg, func, &fact, n, ts);
+            let slow = solve_by_replay(&dcfg, func, &fact, n, ts);
+            let effects = node_effects(&dcfg, func, &fact);
+            let reference = solve_by_propagation(&dcfg, &effects, n, ts);
             assert_eq!(fast, slow, "disagreement at block {head}");
+            assert_eq!(fast, reference, "propagation disagrees at block {head}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! * [`block_effects`] — a per-node [`Effect`] vector derived from
 //!   block *identities* (a definition block GENs, redefinition blocks
 //!   KILL, everything else is transparent), which feeds the ordinary
-//!   propagation engine ([`solve_backward_effects_governed`]) to answer
+//!   query engine ([`solve_backward_effects_governed`]) to answer
 //!   block-level currency questions: which executions of a use block
 //!   see the definition un-clobbered.
 //!
@@ -222,8 +222,8 @@ mod tests {
         let n4 = g.node_by_head(b(4)).unwrap();
         let ts = g.node(n4).ts.clone();
         let full = solve_backward_effects_governed(&g, &effects, n4, &ts, &Budget::unlimited());
-        // One worklist pop resolves only the kill-side predecessors;
-        // the transparent chain to the Gen node needs a second pop.
+        // The one step builds the GEN/KILL projection; resolving the
+        // queried series entries needs more.
         let budget = Limits::new().max_steps(1).start();
         match solve_backward_effects_governed(&g, &effects, n4, &ts, &budget) {
             QueryOutcome::Partial { result, coverage, .. } => {
