@@ -20,12 +20,12 @@
 //!
 //! `ingest` is the crash-safe incremental path: events are fed to a
 //! resumable [`twpp::ingest::Compactor`] in chunks, made durable in a
-//! write-ahead log, sealed into segment archives, and merged into a
+//! write-ahead log, sealed into raw segments, and compacted once into a
 //! `merged.twpa` byte-identical to a batch `compact` of the same
 //! stream. Rerunning `ingest` on a directory a killed process left
 //! behind resumes exactly where it stopped. `fsck` on such a directory
-//! chain-validates the manifests, salvage-verifies every segment and
-//! replays the WAL.
+//! chain-validates the manifests, verifies every segment and replays
+//! the WAL.
 //!
 //! `serve-ingest` is the long-lived form (DESIGN.md §17): a daemon
 //! accepting framed event streams over TCP/Unix sockets and tailed
@@ -57,6 +57,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use twpp::ingest::SegmentVerdict;
 use twpp::obs::BudgetSection;
 use twpp::{ArchiveError, GovOptions, Obs, PipelineStats, RunOutcome, RunReport, TwppArchive};
 use twpp_ir::FuncId;
@@ -141,8 +142,9 @@ usage:
                                             --stats prints stage timings)
   twpp ingest <dir> --from <in.wpp|->       feed a WPP through the crash-safe
                                             incremental compactor: WAL + sealed
-                                            segments in <dir>, then a merged
-                                            archive byte-identical to `compact`;
+                                            raw segments in <dir>, then one
+                                            compaction into a merged archive
+                                            byte-identical to `compact`;
                                             rerunning resumes after a crash
       --seal-bytes N    seal the open window at N encoded bytes (default 1 MiB)
       --seal-ms N       additionally seal windows older than N ms
@@ -2231,7 +2233,8 @@ fn cmd_fsck(
 }
 
 /// `twpp fsck` over an ingest directory: chain-validate the manifests,
-/// salvage-verify every sealed segment, replay the WAL. Exit 0 when the
+/// verify every sealed segment (strict read of a raw window, salvage of
+/// an archive segment), replay the WAL. Exit 0 when the
 /// directory is pristine, 3 when it is resumable but carries crash
 /// debris (torn WAL tail, orphan files), 4 when it cannot be resumed.
 fn cmd_fsck_dir(dir: &Path, obs_files: &ObsFiles, out: &mut Out<'_>) -> Result<(), CliError> {
@@ -2246,17 +2249,28 @@ fn cmd_fsck_dir(dir: &Path, obs_files: &ObsFiles, out: &mut Out<'_>) -> Result<(
         check.wal_events
     )?;
     for seg in &check.segments {
+        let verdict = match &seg.verdict {
+            SegmentVerdict::Archive(report) => format!(
+                "salvage: {}{}",
+                report.strategy,
+                if report.is_clean() { "" } else { " (DAMAGED)" }
+            ),
+            SegmentVerdict::Window(w) => match &w.damage {
+                None => format!("raw window: clean ({} record(s))", w.records),
+                Some(d) => format!(
+                    "raw window: {} clean record(s) (DAMAGED at byte {}: {})",
+                    w.records, d.at, d.reason
+                ),
+            },
+        };
         writeln!(
             out,
-            "  segment {:>3}: {:>8} events at offset {:>8}, depth {:>2} -> {:>2}, \
-             salvage: {}{}",
+            "  segment {:>3}: {:>8} events at offset {:>8}, depth {:>2} -> {:>2}, {verdict}",
             seg.meta.seq,
             seg.meta.events,
             seg.meta.accepted_before,
             seg.meta.depth_start,
             seg.meta.end_stack.len(),
-            seg.report.strategy,
-            if seg.report.is_clean() { "" } else { " (DAMAGED)" },
         )?;
     }
     if check.wal_skipped_records > 0 {
@@ -2277,7 +2291,7 @@ fn cmd_fsck_dir(dir: &Path, obs_files: &ObsFiles, out: &mut Out<'_>) -> Result<(
         writeln!(out, "  WAL: {e}")?;
     }
     for orphan in &check.orphans {
-        writeln!(out, "  orphan: {} (crash debris; resume removes it)", orphan.display())?;
+        writeln!(out, "  orphan: {} (crash debris; resume clears it)", orphan.display())?;
     }
     if let Some(msg) = &check.chain_error {
         writeln!(out, "  chain: {msg}")?;

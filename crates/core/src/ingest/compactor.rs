@@ -10,34 +10,32 @@
 //!                          finish() ──► seal ──► merge ──► merged.twpa
 //! ```
 //!
+//! A seal freezes the window as a raw segment; it does not compact.
+//! Compaction runs once, in `finish`, over every sealed window.
+//!
 //! Every transition that makes bytes durable is a **durability point**
 //! ([`FaultPlan::durability_point`]): the WAL append in `feed`, the
-//! archive rename / manifest rename / WAL rotation in `seal`, and the
+//! window rename / manifest rename / WAL rotation in `seal`, and the
 //! merged-archive rename in `finish`. The kill-point harness aborts the
 //! process at each point in turn and proves that
 //! [`Compactor::resume`] + `finish` produces a `merged.twpa`
 //! byte-identical to an uninterrupted run.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use twpp_ir::FuncId;
 use twpp_tracer::WppEvent;
-use twpp_tracer::raw::RawWpp;
 
-use crate::archive::{Durability, TwppArchive};
+use crate::archive::Durability;
 use crate::timestamped::Codec;
 use crate::gov::{Budget, FaultPlan, Retry, StopReason};
 use crate::obs::{Counter, Histogram, Obs};
-use crate::partition::{partition, PartitionError};
-use crate::pipeline::{
-    compact_partitioned_governed, GovOptions, PipelineError, PipelineStats,
-};
-use crate::recovery::SalvageStrategy;
+use crate::partition::PartitionError;
+use crate::pipeline::{PipelineError, PipelineStats};
 
-use super::segment::{self, SegmentMeta};
+use super::segment::{self, SegmentKind, SegmentMeta};
 use super::wal::{self, WalWriter};
 use super::{io_err, merge, write_file_durable, IngestError};
 
@@ -53,18 +51,18 @@ pub struct IngestOptions {
     /// Durability of WAL appends and segment/manifest/merge commits.
     /// Default [`Durability::Sync`]: acknowledged means on disk.
     pub durability: Durability,
-    /// Worker count for segment and merge compaction, resolved like
+    /// Worker count for the merge compaction, resolved like
     /// [`crate::CompactOptions::threads`]. The output is identical for
-    /// every thread count.
+    /// every thread count. Seals do not compact.
     pub threads: Option<usize>,
     /// Resource envelope for the *ingest* layer. Exhaustion is
     /// backpressure, not death: the compactor seals the window early and
     /// keeps going (the sealed segments stay valid). Only cancellation
     /// stops ingestion, and even then every acknowledged event is
-    /// already durable. Segment and merge compaction run unbudgeted —
-    /// a seal that started is never abandoned halfway.
+    /// already durable. The merge compaction runs unbudgeted — a drain
+    /// that started is never abandoned halfway.
     pub budget: Budget,
-    /// Degrade policy forwarded to segment and merge compaction.
+    /// Degrade policy forwarded to the merge compaction.
     pub fail_fast: bool,
     /// Fault-injection plan; [`FaultPlan::durability_point`] is invoked
     /// at every durable transition (the kill-point harness).
@@ -72,7 +70,8 @@ pub struct IngestOptions {
     /// Observability sink (`twpp_core_ingest_*` metrics, `ingest_*`
     /// spans). Never influences output bytes.
     pub obs: Obs,
-    /// Timestamp-set codec for sealed segments and the merged archive.
+    /// Timestamp-set codec for the merged archive (sealed segments are
+    /// raw windows and carry no timestamp sets).
     /// Default [`Codec::Legacy`] keeps output byte-identical to older
     /// runs; [`Codec::Adaptive`] writes archives that are never larger
     /// and that every reader still decodes.
@@ -142,7 +141,7 @@ impl IngestCounters {
             ),
             seals: obs.counter(
                 "twpp_core_ingest_seals_total",
-                "windows sealed into segment archives",
+                "windows sealed into raw segments",
             ),
             early_seals: obs.counter(
                 "twpp_core_ingest_early_seals_total",
@@ -150,11 +149,11 @@ impl IngestCounters {
             ),
             sealed_events: obs.counter(
                 "twpp_core_ingest_sealed_events_total",
-                "events sealed into segment archives",
+                "events sealed into raw segments",
             ),
             segment_bytes: obs.counter(
                 "twpp_core_ingest_segment_bytes_total",
-                "bytes of sealed segment archives",
+                "bytes of sealed raw segments",
             ),
             retry_attempts: obs.counter(
                 "twpp_ingest_retry_attempts_total",
@@ -171,7 +170,7 @@ impl IngestCounters {
             ),
             seal_us: obs.histogram(
                 "twpp_core_ingest_seal_us",
-                "microseconds per window seal (compact + archive + manifest + WAL rotation)",
+                "microseconds per window seal (raw window + manifest + WAL rotation)",
                 LATENCY_BOUNDS_US,
             ),
         }
@@ -232,8 +231,8 @@ pub struct ResumeReport {
     /// false). Also published as `twpp_ingest_torn_tail_bytes_total`.
     pub wal_torn_bytes: u64,
     /// Orphan files removed: `.tmp` staging leftovers and a newest
-    /// segment archive whose manifest never landed (its events are still
-    /// in the WAL).
+    /// segment data file whose manifest never landed (its events are
+    /// still in the WAL).
     pub orphans_removed: u64,
 }
 
@@ -261,14 +260,15 @@ pub struct Compactor {
     dir: PathBuf,
     opts: IngestOptions,
     wal: WalWriter,
+    /// Committed ends of `segments.wal` and `segments.man`: where the
+    /// next seal writes, over anything a failed seal left behind.
+    windows_end: u64,
+    manifests_end: u64,
     /// Activations currently open, outermost first.
     stack: Vec<FuncId>,
     /// Whether a root `Enter` has ever been accepted (the
-    /// `MultipleRoots` guard, mirroring [`partition`]).
+    /// `MultipleRoots` guard, mirroring [`crate::partition::partition`]).
     root_seen: bool,
-    /// The open stack at the start of the current window — the synthetic
-    /// `Enter` prefix a seal will wrap the window with.
-    window_stack: Vec<FuncId>,
     /// Events accepted since the last seal (mirrors the WAL).
     window: Vec<WppEvent>,
     window_started: Instant,
@@ -296,9 +296,10 @@ impl Compactor {
         Ok(Compactor {
             dir: dir.to_path_buf(),
             wal,
+            windows_end: 0,
+            manifests_end: 0,
             stack: Vec::new(),
             root_seen: false,
-            window_stack: Vec::new(),
             window: Vec::new(),
             window_started: Instant::now(),
             sealed: 0,
@@ -313,42 +314,36 @@ impl Compactor {
     /// it stopped.
     ///
     /// Validation is strict where it must be and tolerant where a crash
-    /// can legitimately leave debris: every sealed segment must be a
-    /// fully committed archive (salvage strategy [`SalvageStrategy::Footer`],
-    /// all regions clean) with a chain-consistent manifest; the WAL's
-    /// torn tail (if any) is dropped — those bytes were never
+    /// can legitimately leave debris: every sealed segment must verify
+    /// cleanly by the rules of its manifest version (a raw window reads
+    /// strictly; an archive segment an older build sealed must salvage
+    /// as fully committed and clean) under a chain-consistent manifest;
+    /// the WAL's torn tail (if any) is dropped — those bytes were never
     /// acknowledged; WAL records whose events a sealed segment already
     /// covers are skipped (crash between manifest rename and WAL
-    /// rotation), making replay exactly-once; `.tmp` leftovers and a
-    /// manifest-less newest archive are deleted.
+    /// rotation), making replay exactly-once; `.tmp` leftovers and an
+    /// older build's manifest-less newest archive segment are deleted,
+    /// and a chain log's uncommitted tail (a window appended without its
+    /// manifest, a torn manifest) is cut off — its events are still in
+    /// the WAL.
     pub fn resume(dir: &Path, opts: IngestOptions) -> Result<(Compactor, ResumeReport), IngestError> {
         let span_obs = opts.obs.clone();
         let _s = span_obs.span("ingest_resume");
-        let (metas, orphans) = segment::load_sealed_chain(dir)?;
-        for meta in &metas {
-            let path = segment::archive_path(dir, meta.seq);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, &e))?;
-            let (_, report) = TwppArchive::recover(&bytes)?;
-            if report.strategy != SalvageStrategy::Footer || !report.is_clean() {
-                return Err(IngestError::Segment(format!(
-                    "{}: sealed segment failed verification (salvage: {}); \
-                     refusing to resume on damaged state",
-                    path.display(),
-                    report.strategy
-                )));
-            }
-        }
-        for p in &orphans {
+        let chain = segment::load_sealed_chain(dir)?;
+        let windows = segment::read_clean_chain(dir, &chain.metas, None)?;
+        for p in &chain.orphans {
             fs::remove_file(p).map_err(|e| io_err(p, &e))?;
         }
+        let mut orphans = chain.orphans.len() as u64;
+        for (path, extent) in [
+            (segment::manifests_path(dir), chain.manifests),
+            (segment::windows_path(dir), windows),
+        ] {
+            orphans += u64::from(segment::cut_tail(&path, extent, opts.durability)?);
+        }
+        let metas = chain.metas;
 
-        let wpath = wal::wal_path(dir);
-        let wal_bytes = match fs::read(&wpath) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(io_err(&wpath, &e)),
-        };
-        let replay = wal::replay_bytes(&wal_bytes)?;
+        let replay = merge::read_wal(dir)?;
         let sealed = metas.last().map_or(0, SegmentMeta::accepted_after);
         let mut tail: Vec<WppEvent> = Vec::new();
         let mut skipped = 0u64;
@@ -366,11 +361,9 @@ impl Compactor {
             }
             tail.extend_from_slice(batch);
         }
-        let wal = WalWriter::open_resume(&wpath, opts.durability, replay.clean_bytes)?;
+        let wal = WalWriter::open_resume(&wal::wal_path(dir), opts.durability, replay.clean_bytes)?;
 
-        let window_stack: Vec<FuncId> =
-            metas.last().map_or_else(Vec::new, |m| m.end_stack.clone());
-        let mut stack = window_stack.clone();
+        let mut stack: Vec<FuncId> = metas.last().map_or_else(Vec::new, |m| m.end_stack.clone());
         let mut root_seen = sealed > 0;
         for ev in &tail {
             apply_event(&mut stack, &mut root_seen, *ev).map_err(IngestError::Stream)?;
@@ -383,7 +376,7 @@ impl Compactor {
             wal_records_skipped: skipped,
             wal_torn: replay.torn_at.is_some(),
             wal_torn_bytes: replay.torn_bytes,
-            orphans_removed: orphans.len() as u64,
+            orphans_removed: orphans,
         };
         let obs = &opts.obs;
         obs.counter("twpp_core_ingest_resumes_total", "compactor resumes").inc();
@@ -414,9 +407,10 @@ impl Compactor {
             Compactor {
                 dir: dir.to_path_buf(),
                 wal,
+                windows_end: windows.committed,
+                manifests_end: chain.manifests.committed,
                 stack,
                 root_seen,
-                window_stack,
                 window: tail,
                 window_started: Instant::now(),
                 sealed,
@@ -446,11 +440,11 @@ impl Compactor {
     /// durable (WAL or sealed segment) at the configured durability.
     ///
     /// The batch is validated first and rejected atomically: an event
-    /// that [`partition`] would reject at its position in the stream
-    /// (`MultipleRoots`, `EventOutsideActivation`) fails the whole call
+    /// that [`crate::partition::partition`] would reject at its position
+    /// in the stream (`MultipleRoots`, `EventOutsideActivation`) fails the whole call
     /// with [`IngestError::Stream`] and acknowledges nothing. This eager
-    /// mirror of the batch pipeline's error contract is what keeps every
-    /// sealed window a well-formed WPP.
+    /// mirror of the batch pipeline's error contract is what keeps the
+    /// concatenated sealed windows a well-formed WPP.
     pub fn feed(&mut self, events: &[WppEvent]) -> Result<(), IngestError> {
         if events.is_empty() {
             return Ok(());
@@ -512,14 +506,18 @@ impl Compactor {
         Ok(())
     }
 
-    /// Seals the open window into a segment archive. No-op on an empty
+    /// Seals the open window into a raw segment. No-op on an empty
     /// window. Returns the new segment's sequence number.
     ///
-    /// Durable commit order — archive, then manifest, then WAL rotation,
-    /// each its own durability point — is what makes every crash state
-    /// recoverable: an archive without a manifest is an ignorable
-    /// orphan (events still in the WAL), and a manifest without the WAL
-    /// rotation just makes resume skip the WAL's now-sealed records.
+    /// The window is appended to `segments.wal` as it arrived — no
+    /// wrapping, no compaction (that happens once, at
+    /// [`Compactor::finish`]) and no new file. Durable commit order —
+    /// raw window, then its manifest appended to `segments.man`, then
+    /// WAL rotation, each its own durability point — is what makes
+    /// every crash state recoverable: a window without a manifest is an
+    /// uncommitted tail resume cuts off (events still in the WAL), and a
+    /// manifest without the WAL rotation just makes resume skip the
+    /// WAL's now-sealed records.
     pub fn seal(&mut self) -> Result<Option<u64>, IngestError> {
         if self.window.is_empty() {
             return Ok(None);
@@ -529,66 +527,32 @@ impl Compactor {
         // Injection point for the serve watchdog tests: a configured
         // delay makes this seal look wedged without real slow I/O.
         self.opts.faults.apply_delay();
-        let seq = self.segments.len() as u64 + 1;
-
-        let mut wrapped: Vec<WppEvent> =
-            Vec::with_capacity(self.window_stack.len() + self.window.len());
-        wrapped.extend(self.window_stack.iter().map(|&f| WppEvent::Enter(f)));
-        wrapped.extend_from_slice(&self.window);
-        let wpp = RawWpp::from_events(&wrapped);
-        let raw = wpp.size_breakdown();
-        let part = partition(&wpp).map_err(PipelineError::from)?;
-        let gov = GovOptions {
-            threads: self.opts.threads,
-            budget: Budget::unlimited(),
-            fail_fast: self.opts.fail_fast,
-            faults: FaultPlan::none(),
-            obs: self.opts.obs.clone(),
+        let meta = SegmentMeta {
+            seq: self.segments.len() as u64 + 1,
+            kind: SegmentKind::Window,
+            events: self.window.len() as u64,
+            accepted_before: self.sealed,
+            depth_start: self.segments.last().map_or(0, SegmentMeta::depth_end),
+            end_stack: self.stack.clone(),
         };
-        let (compacted, stats) = compact_partitioned_governed(part, raw, &gov)?;
-        let archive = TwppArchive::from_compacted_codec(
-            &compacted,
-            &HashMap::new(),
-            crate::par::resolve_threads(self.opts.threads),
-            &stats.degraded.failed,
-            &self.opts.obs,
-            self.opts.codec,
-        );
+        let image = segment::encode_window(meta.accepted_before, &self.window);
+        let durability = self.opts.durability;
 
-        run_retry(
+        let windows_end = run_retry(
             self.opts.retry,
             &self.opts.faults,
             &self.counters,
-            "segment archive commit",
-            || {
-                write_file_durable(
-                    &segment::archive_path(&self.dir, seq),
-                    archive.as_bytes(),
-                    self.opts.durability,
-                )
-            },
+            "segment window commit",
+            || segment::append_window(&self.dir, self.windows_end, &image, durability),
         )?;
         self.opts.faults.durability_point();
 
-        let meta = SegmentMeta {
-            seq,
-            events: self.window.len() as u64,
-            accepted_before: self.sealed,
-            depth_start: self.window_stack.len() as u32,
-            end_stack: self.stack.clone(),
-        };
-        run_retry(
+        let manifests_end = run_retry(
             self.opts.retry,
             &self.opts.faults,
             &self.counters,
             "segment manifest commit",
-            || {
-                write_file_durable(
-                    &segment::manifest_path(&self.dir, seq),
-                    &meta.encode(),
-                    self.opts.durability,
-                )
-            },
+            || segment::append_manifest(&self.dir, self.manifests_end, &meta, durability),
         )?;
         self.opts.faults.durability_point();
 
@@ -604,11 +568,13 @@ impl Compactor {
 
         self.counters.seals.inc();
         self.counters.sealed_events.add(meta.events);
-        self.counters.segment_bytes.add(archive.byte_len() as u64);
+        self.counters.segment_bytes.add(windows_end - self.windows_end);
+        self.windows_end = windows_end;
+        self.manifests_end = manifests_end;
         self.sealed += meta.events;
         self.window.clear();
-        self.window_stack = self.stack.clone();
         self.window_started = Instant::now();
+        let seq = meta.seq;
         self.segments.push(meta);
         self.counters
             .seal_us
@@ -616,9 +582,10 @@ impl Compactor {
         Ok(Some(seq))
     }
 
-    /// Seals whatever is open, merges every segment back into the
-    /// original event stream, batch-compacts it and durably writes
-    /// `merged.twpa`. The merged archive is byte-identical to what
+    /// Seals whatever is open, concatenates every sealed window back
+    /// into the original event stream, batch-compacts it — the run's one
+    /// compaction — and durably writes `merged.twpa`. The merged archive
+    /// is byte-identical to what
     /// [`crate::compact_governed`] would have produced on the whole
     /// stream in one process — regardless of how the stream was chunked
     /// across `feed` calls, seals, crashes and resumes.
@@ -665,7 +632,7 @@ impl Compactor {
         self.sealed + self.window.len() as u64
     }
 
-    /// Events sealed into segment archives.
+    /// Events sealed into raw segments.
     pub fn sealed_events(&self) -> u64 {
         self.sealed
     }
@@ -698,9 +665,10 @@ impl Compactor {
 }
 
 /// Applies one event to the simulated activation stack, enforcing the
-/// same eager error contract as [`partition`]: a `Block` or `Exit`
-/// outside any activation and a second root are rejected; a stream that
-/// simply stops with activations open is fine (they close implicitly).
+/// same eager error contract as [`crate::partition::partition`]: a
+/// `Block` or `Exit` outside any activation and a second root are
+/// rejected; a stream that simply stops with activations open is fine
+/// (they close implicitly).
 fn apply_event(
     stack: &mut Vec<FuncId>,
     root_seen: &mut bool,
@@ -728,9 +696,11 @@ fn apply_event(
     Ok(())
 }
 
-/// Whether `dir` contains compactor state (a WAL or any segment file).
+/// Whether `dir` contains compactor state (a WAL, a chain log or any
+/// segment file).
 fn dir_has_state(dir: &Path) -> Result<bool, IngestError> {
-    if wal::wal_path(dir).exists() {
+    let logs = [wal::wal_path(dir), segment::windows_path(dir), segment::manifests_path(dir)];
+    if logs.iter().any(|p| p.exists()) {
         return Ok(true);
     }
     let (files, _) = segment::list_segment_files(dir)?;

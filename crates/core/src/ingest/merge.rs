@@ -1,14 +1,14 @@
-//! Merging sealed segments back into one whole-trace archive, and the
+//! Merging sealed segments into one whole-trace archive, and the
 //! offline directory checker behind `twpp fsck <dir>`.
 //!
-//! The merge is deliberately minimal (concatenate-and-rewrite): each
-//! segment archive is decoded, its reconstruction is unwrapped back to
-//! the window's original events, the windows are concatenated — which
-//! by the manifest chain invariants *is* the original event stream —
-//! and the ordinary batch pipeline compacts the whole thing. Anything
-//! cleverer (LSM-style partial merges, dictionary reuse across
-//! segments) is deferred until a workload shows the rewrite cost
-//! matters; correctness first.
+//! The paper's compaction works on the whole WPP at once, so compaction
+//! runs exactly once per ingest run, here. The merge reads the raw-window
+//! log strictly against the manifests (see
+//! [`segment::read_clean_chain`]), appends its event words to one buffer
+//! pre-sized from the manifests — which by the chain invariants *is* the
+//! original event stream — and runs the ordinary batch pipeline over it.
+//! Archive segments an older build sealed are unwrapped by
+//! reconstruction on the same path.
 
 use std::collections::HashMap;
 use std::fs;
@@ -22,10 +22,9 @@ use crate::archive::TwppArchive;
 use crate::gov::{Budget, FaultPlan};
 use crate::obs::Obs;
 use crate::pipeline::{compact_governed, GovOptions, PipelineStats};
-use crate::recovery::{RecoveryReport, SalvageStrategy};
 
 use super::compactor::IngestOptions;
-use super::segment::{self, SegmentMeta};
+use super::segment::{self, SegmentMeta, SegmentVerdict};
 use super::wal::{self, WalError, WalReplay};
 use super::{io_err, IngestError};
 
@@ -34,29 +33,12 @@ pub fn merged_path(dir: &Path) -> PathBuf {
     dir.join("merged.twpa")
 }
 
-/// Unwraps one sealed segment back to the window's original events.
-///
-/// A segment archive holds `[Enter; depth_start] ++ window`, and its
-/// reconstruction appends `[Exit; end_stack.len()]` for the activations
-/// still open at the window's end — so the original window is the slice
-/// between the two.
-pub fn segment_events(
-    archive: &TwppArchive,
-    meta: &SegmentMeta,
-) -> Result<Vec<WppEvent>, IngestError> {
-    let compacted = archive.to_compacted()?;
-    let events = compacted.reconstruct().events();
-    let d0 = meta.depth_start as usize;
-    let d1 = meta.end_stack.len();
-    let want = d0 + meta.events as usize + d1;
-    if events.len() != want {
-        return Err(IngestError::Segment(format!(
-            "segment {} reconstructs to {} events, manifest implies {want}",
-            meta.seq,
-            events.len()
-        )));
-    }
-    Ok(events[d0..d0 + meta.events as usize].to_vec())
+/// The sealed windows of `metas`, concatenated as encoded event words.
+fn sealed_words(dir: &Path, metas: &[SegmentMeta]) -> Result<Vec<u32>, IngestError> {
+    let total = metas.last().map_or(0, SegmentMeta::accepted_after);
+    let mut words = Vec::with_capacity(total as usize);
+    segment::read_clean_chain(dir, metas, Some(&mut words))?;
+    Ok(words)
 }
 
 /// Concatenates every sealed window and batch-compacts the result.
@@ -67,20 +49,8 @@ pub(super) fn merge_segments(
     opts: &IngestOptions,
 ) -> Result<(TwppArchive, PipelineStats), IngestError> {
     let _s = opts.obs.span("ingest_merge");
-    let mut events: Vec<WppEvent> = Vec::new();
-    for meta in metas {
-        let path = segment::archive_path(dir, meta.seq);
-        let archive = TwppArchive::load(&path)?;
-        if archive.is_degraded() {
-            return Err(IngestError::Segment(format!(
-                "{}: segment is degraded (functions failed at compaction); \
-                 its window cannot be reconstructed for the merge",
-                path.display()
-            )));
-        }
-        events.extend(segment_events(&archive, meta)?);
-    }
-    let wpp = RawWpp::from_events(&events);
+    let wpp = RawWpp::from_words(sealed_words(dir, metas)?)
+        .map_err(|e| IngestError::Segment(format!("{}: sealed windows: {e}", dir.display())))?;
     let gov = GovOptions {
         threads: opts.threads,
         budget: Budget::unlimited(),
@@ -107,7 +77,7 @@ pub(super) fn merge_segments(
 /// run would go on to merge.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DirReplay {
-    /// The reconstructed original event stream.
+    /// The original event stream.
     pub events: Vec<WppEvent>,
     /// How many of those events came from sealed segments.
     pub sealed_events: u64,
@@ -118,15 +88,15 @@ pub struct DirReplay {
 }
 
 /// Reads a compactor directory offline (no writes, no lock) and
-/// reconstructs the event stream it holds. Fails on the same
-/// inconsistencies [`crate::ingest::Compactor::resume`] would reject.
+/// returns the event stream it holds, reading the sealed windows as the
+/// merge does. Fails on the same inconsistencies
+/// [`crate::ingest::Compactor::resume`] would reject.
 pub fn replay_dir_events(dir: &Path) -> Result<DirReplay, IngestError> {
-    let (metas, _orphans) = segment::load_sealed_chain(dir)?;
-    let mut events: Vec<WppEvent> = Vec::new();
-    for meta in &metas {
-        let archive = TwppArchive::load(&segment::archive_path(dir, meta.seq))?;
-        events.extend(segment_events(&archive, meta)?);
-    }
+    let metas = segment::load_sealed_chain(dir)?.metas;
+    let mut events: Vec<WppEvent> = sealed_words(dir, &metas)?
+        .into_iter()
+        .filter_map(WppEvent::decode)
+        .collect();
     let sealed = metas.last().map_or(0, SegmentMeta::accepted_after);
     debug_assert_eq!(events.len() as u64, sealed);
     let replay = read_wal(dir)?;
@@ -150,7 +120,7 @@ pub fn replay_dir_events(dir: &Path) -> Result<DirReplay, IngestError> {
     })
 }
 
-fn read_wal(dir: &Path) -> Result<WalReplay, IngestError> {
+pub(super) fn read_wal(dir: &Path) -> Result<WalReplay, IngestError> {
     let wpath = wal::wal_path(dir);
     let bytes = match fs::read(&wpath) {
         Ok(b) => b,
@@ -165,8 +135,9 @@ fn read_wal(dir: &Path) -> Result<WalReplay, IngestError> {
 pub struct SegmentCheck {
     /// Its manifest.
     pub meta: SegmentMeta,
-    /// The archive's salvage report (strategy `footer` + clean = good).
-    pub report: RecoveryReport,
+    /// How its data file verified: an archive segment's salvage report,
+    /// or a raw window's record count and first damage.
+    pub verdict: SegmentVerdict,
 }
 
 /// The verdict of `twpp fsck` over a compactor directory.
@@ -177,8 +148,9 @@ pub struct DirCheck {
     /// A manifest-chain or WAL-position inconsistency that makes the
     /// directory non-resumable, if one was found.
     pub chain_error: Option<String>,
-    /// Orphan files (safe crash debris: `.tmp` leftovers, a newest
-    /// archive whose manifest never landed).
+    /// Crash debris resume clears: `.tmp` leftovers, an older build's
+    /// newest archive segment whose manifest never landed, and a chain
+    /// log (`segments.wal`, `segments.man`) with an uncommitted tail.
     pub orphans: Vec<PathBuf>,
     /// Events covered by sealed segments.
     pub sealed_events: u64,
@@ -209,10 +181,7 @@ impl DirCheck {
     pub fn is_resumable(&self) -> bool {
         self.chain_error.is_none()
             && self.wal_error.is_none()
-            && self
-                .segments
-                .iter()
-                .all(|s| s.report.strategy == SalvageStrategy::Footer && s.report.is_clean())
+            && self.segments.iter().all(|s| s.verdict.is_clean())
     }
 
     /// Total events the directory durably holds.
@@ -222,7 +191,8 @@ impl DirCheck {
 }
 
 /// Checks a compactor directory offline: chain-validates the manifests,
-/// salvage-verifies every segment archive, and replays the WAL. Never
+/// verifies every sealed segment (strict read of a raw window, salvage
+/// of an archive segment), and replays the WAL. Never
 /// writes. I/O failures are still hard errors; *inconsistencies* are
 /// reported in the returned [`DirCheck`] instead.
 pub fn fsck_dir(dir: &Path, obs: &Obs) -> Result<DirCheck, IngestError> {
@@ -239,9 +209,12 @@ pub fn fsck_dir(dir: &Path, obs: &Obs) -> Result<DirCheck, IngestError> {
         wal_error: None,
     };
     let metas = match segment::load_sealed_chain(dir) {
-        Ok((metas, orphans)) => {
-            check.orphans = orphans;
-            metas
+        Ok(chain) => {
+            check.orphans = chain.orphans;
+            if chain.manifests.has_tail() {
+                check.orphans.push(segment::manifests_path(dir));
+            }
+            chain.metas
         }
         Err(IngestError::Segment(msg)) => {
             check.chain_error = Some(msg);
@@ -249,23 +222,35 @@ pub fn fsck_dir(dir: &Path, obs: &Obs) -> Result<DirCheck, IngestError> {
         }
         Err(e) => return Err(e),
     };
-    for meta in metas {
-        let path = segment::archive_path(dir, meta.seq);
-        let bytes = fs::read(&path).map_err(|e| io_err(&path, &e))?;
-        let report = match TwppArchive::recover(&bytes) {
-            Ok((_, report)) => report,
-            Err(e) => {
+    let (archives, windows) = segment::split_kinds(&metas);
+    for meta in archives {
+        let verdict = match segment::read_archive_segment(dir, meta, None) {
+            Ok(report) => SegmentVerdict::Archive(report),
+            Err(e @ IngestError::Archive(_)) => {
                 // Nothing salvageable at all; keep checking the rest but
                 // record the damage as a chain error.
                 check.chain_error.get_or_insert(format!(
                     "{}: unsalvageable segment archive: {e}",
-                    path.display()
+                    meta.data_path(dir).display()
                 ));
                 continue;
             }
+            Err(e) => return Err(e),
         };
         check.sealed_events = meta.accepted_after();
-        check.segments.push(SegmentCheck { meta, report });
+        check.segments.push(SegmentCheck { meta: meta.clone(), verdict });
+    }
+    let scan = segment::read_windows(dir, windows, None)?;
+    let clean = scan.checks.iter().all(|c| c.damage.is_none());
+    for (meta, window) in windows.iter().zip(scan.checks) {
+        check.sealed_events = meta.accepted_after();
+        check.segments.push(SegmentCheck {
+            meta: meta.clone(),
+            verdict: SegmentVerdict::Window(window),
+        });
+    }
+    if clean && check.chain_error.is_none() && scan.extent.has_tail() {
+        check.orphans.push(segment::windows_path(dir));
     }
     match read_wal(dir) {
         Ok(replay) => {

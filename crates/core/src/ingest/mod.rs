@@ -13,27 +13,28 @@
 //! ```text
 //! dir/
 //!   wal.log          CRC-framed write-ahead log of the open window
-//!   seg-000001.twpa  sealed segment: an ordinary committed v3 archive
-//!   seg-000001.man   its manifest (event range + activation context)
-//!   seg-000002.twpa
-//!   seg-000002.man
+//!   segments.wal     every sealed window's raw events, appended (WAL format)
+//!   segments.man     their manifests, appended (event range + activation context)
 //!   merged.twpa      written by `finish()`: the whole trace, one archive
 //! ```
+//!
+//! A directory an older build left behind may also hold archive
+//! segments (`seg-NNNNNN.twpa` + `seg-NNNNNN.man`, manifest version 1)
+//! ahead of the raw windows; they are still read, never written.
 //!
 //! # The two invariants
 //!
 //! * **No acknowledged event is ever lost.** `feed` appends the batch to
 //!   the WAL (at the requested durability) before returning; `seal`
-//!   commits the window as a segment archive, then its manifest, then
+//!   appends the window as a raw segment, then its manifest, then
 //!   rotates the WAL — in that order, so at every instant the union of
 //!   sealed segments and the WAL covers every acknowledged event.
-//! * **Recovery is byte-identical.** A segment stores the window's
-//!   events with the open activation stack re-entered as synthetic
-//!   `Enter`s, making it a well-formed single-root WPP; the manifest
-//!   records how many prefix enters and implicit closing exits to strip.
-//!   Merging therefore reconstructs the *exact* original event stream
-//!   and runs the ordinary batch pipeline over it, so a run that was
-//!   killed at any durability point and resumed produces a `merged.twpa`
+//! * **Recovery is byte-identical.** A sealed segment holds exactly the
+//!   window's original events, and the manifest chain places each window
+//!   in the global stream. Merging therefore concatenates the *exact*
+//!   original event stream and runs the ordinary batch pipeline over it
+//!   — the only compaction of the run — so a run that was killed at any
+//!   durability point and resumed produces a `merged.twpa`
 //!   byte-identical to an uninterrupted run (proven by the kill-point
 //!   harness, `TWPP_INJECT_KILL_AT`).
 //!
@@ -62,12 +63,15 @@ pub use server::{
     serve, serve_with_admin, tail_source_name, ConnStream, ServeListener, ServeOptions,
     ServeReport, SourceReport, STATUS_SCHEMA_VERSION,
 };
-pub use merge::{fsck_dir, merged_path, replay_dir_events, segment_events, DirCheck, DirReplay};
+pub use merge::{fsck_dir, merged_path, replay_dir_events, DirCheck, DirReplay, SegmentCheck};
 pub use segment::{
-    archive_path, list_segment_files, manifest_path, SegmentMeta, MANIFEST_VERSION,
+    archive_path, list_segment_files, manifest_path, manifests_path, segment_events,
+    windows_path, SegmentKind, SegmentMeta, SegmentVerdict, WindowCheck, WindowDamage,
+    MANIFEST_VERSION,
 };
 pub use wal::{
-    encode_record, replay_bytes, replay_strict, wal_path, WalError, WalReplay, WalWriter,
+    encode_record, replay_bytes, replay_strict, wal_path, Record, Records, WalError, WalReplay,
+    WalWriter,
     WAL_FILE, WAL_HEADER_LEN, WAL_RECORD_HEADER_LEN, WAL_VERSION,
 };
 
@@ -82,7 +86,8 @@ pub enum IngestError {
     /// A segment manifest or the directory layout is inconsistent; the
     /// string describes what was expected and what was found.
     Segment(String),
-    /// A sealed segment archive failed to load or verify.
+    /// An archive segment (manifest version 1) failed to load or
+    /// decode.
     Archive(ArchiveError),
     /// The compaction pipeline rejected a sealed window or the merge.
     Pipeline(PipelineError),

@@ -24,8 +24,8 @@
 //! * **Graceful drain.** On cancellation (SIGTERM in the CLI) or a
 //!   client `Drain` frame the daemon stops accepting, joins every
 //!   connection, then seals open windows and merges each source to
-//!   `merged.twpa` — byte-identical to an uninterrupted batch run, by
-//!   the PR 6 merge invariant.
+//!   `merged.twpa` — the source's one compaction, byte-identical to an
+//!   uninterrupted batch run by the merge invariant (DESIGN.md §15).
 //!
 //! The drain state machine (DESIGN.md §17):
 //!
@@ -71,13 +71,14 @@ pub struct ServeOptions {
     pub seal_ms: Option<u64>,
     /// Durability of every per-source commit.
     pub durability: Durability,
-    /// Worker threads for seal/merge compaction.
+    /// Worker threads for the drain's merge compaction (seals do not
+    /// compact).
     pub threads: Option<usize>,
     /// Per-source resource limits; each source starts its own budget
     /// from these. Exhaustion is backpressure (early seals), as in
     /// [`IngestOptions::budget`].
     pub limits: Limits,
-    /// Degrade policy forwarded to compaction.
+    /// Degrade policy forwarded to the drain's merge compaction.
     pub fail_fast: bool,
     /// Retry policy for transient durable I/O *and* reply writes.
     pub retry: Retry,
@@ -99,7 +100,8 @@ pub struct ServeOptions {
     pub faults: FaultPlan,
     /// Observability sink (`twpp_ingest_serve_*` metrics).
     pub obs: Obs,
-    /// Timestamp-set codec for sealed segments and merges.
+    /// Timestamp-set codec for the merged archives (sealed segments are
+    /// raw windows).
     pub codec: Codec,
     /// Files to tail as event sources (name derived from the file
     /// stem): read to EOF, then poll for appended bytes until drain.

@@ -131,7 +131,7 @@ impl WalReplay {
 }
 
 /// The 8-byte WAL file header.
-fn header_bytes() -> [u8; WAL_HEADER_LEN] {
+pub(super) fn header_bytes() -> [u8; WAL_HEADER_LEN] {
     let mut h = [0u8; WAL_HEADER_LEN];
     h[..4].copy_from_slice(&WAL_MAGIC);
     h[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
@@ -167,80 +167,150 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b)
 }
 
-/// Tolerantly replays a WAL image: returns every record in the clean
-/// prefix and records where (if anywhere) the log turned unreadable.
-///
-/// An empty image is a valid empty log (a crash can land before the
-/// header write reaches disk). A short or corrupt *header* is reported
-/// as a torn tail at offset 0 unless the magic bytes are present but
-/// wrong, which is [`WalError::BadMagic`] — that file was never ours.
-pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
-    if bytes.is_empty() {
-        return Ok(WalReplay { batches: Vec::new(), clean_bytes: 0, torn_at: None, torn_bytes: 0 });
-    }
-    let magic_prefix = &WAL_MAGIC[..bytes.len().min(4)];
-    if &bytes[..bytes.len().min(4)] != magic_prefix {
-        return Err(WalError::BadMagic);
-    }
-    if bytes.len() < WAL_HEADER_LEN {
-        return Ok(WalReplay {
-            batches: Vec::new(),
-            clean_bytes: 0,
-            torn_at: Some(0),
-            torn_bytes: bytes.len() as u64,
-        });
-    }
-    let version = read_u32(bytes, 4);
-    if version != WAL_VERSION {
-        return Err(WalError::BadVersion(version));
+/// One CRC-verified record of a WAL image (the live `wal.log` or a
+/// sealed raw window).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Record<'a> {
+    /// Byte position of the record's header in the image.
+    pub at: u64,
+    /// Global index of the record's first event.
+    pub offset: u64,
+    /// The event words, 4 little-endian bytes each; every word decodes.
+    pub payload: &'a [u8],
+}
+
+impl Record<'_> {
+    /// Events in the record.
+    pub fn event_count(&self) -> u64 {
+        (self.payload.len() / 4) as u64
     }
 
-    let mut batches = Vec::new();
-    let mut pos = WAL_HEADER_LEN;
-    let torn_at = loop {
-        if pos == bytes.len() {
-            break None;
+    /// The encoded event words.
+    pub fn words(&self) -> impl Iterator<Item = u32> + '_ {
+        self.payload.chunks_exact(4).map(|w| read_u32(w, 0))
+    }
+
+    /// The decoded events.
+    pub fn events(&self) -> Vec<WppEvent> {
+        self.words().filter_map(WppEvent::decode).collect()
+    }
+}
+
+/// The record parser: iterates the records of a WAL image in order and
+/// stops at the first one that is unreadable — truncated header or
+/// payload, impossible length, checksum mismatch, undecodable event
+/// word. [`Records::position`] is then the end of the clean prefix.
+#[derive(Clone, Debug)]
+pub struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    stopped: bool,
+}
+
+impl<'a> Records<'a> {
+    /// Checks the image's header and positions the parser on its first
+    /// record.
+    ///
+    /// An empty image is a valid empty log (a crash can land before the
+    /// header write reaches disk). A short *header* leaves the parser
+    /// stopped at offset 0, unless the magic bytes present are wrong,
+    /// which is [`WalError::BadMagic`] — that file was never ours.
+    pub fn new(bytes: &'a [u8]) -> Result<Records<'a>, WalError> {
+        let magic_prefix = &WAL_MAGIC[..bytes.len().min(4)];
+        if &bytes[..bytes.len().min(4)] != magic_prefix {
+            return Err(WalError::BadMagic);
         }
-        let rest = bytes.len() - pos;
-        if rest < WAL_RECORD_HEADER_LEN {
-            break Some(pos as u64);
+        if bytes.len() < WAL_HEADER_LEN {
+            return Ok(Records { bytes, pos: 0, stopped: true });
+        }
+        let version = read_u32(bytes, 4);
+        if version != WAL_VERSION {
+            return Err(WalError::BadVersion(version));
+        }
+        Ok(Records { bytes, pos: WAL_HEADER_LEN, stopped: false })
+    }
+
+    /// A parser over a later part of a WAL image, read in pieces:
+    /// `bytes` starts at a record boundary, with no file header.
+    pub(super) fn headerless(bytes: &'a [u8]) -> Records<'a> {
+        Records { bytes, pos: 0, stopped: false }
+    }
+
+    /// Length in bytes of the prefix parsed so far (header plus whole
+    /// records); once the iterator is exhausted, the clean prefix.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether the bytes end inside the record at [`Records::position`]
+    /// (more of the image could complete it) rather than at a record
+    /// that is unreadable as it stands.
+    pub(super) fn needs_more(&self) -> bool {
+        let rest = &self.bytes[self.pos..];
+        if rest.len() < WAL_RECORD_HEADER_LEN {
+            return true;
+        }
+        let len = read_u32(rest, 0);
+        len > 0
+            && len.is_multiple_of(4)
+            && len <= MAX_RECORD_BYTES
+            && rest.len() < WAL_RECORD_HEADER_LEN + len as usize
+    }
+
+    /// Parses the record at `pos`, or `None` if it is unreadable.
+    fn parse(&self) -> Option<Record<'a>> {
+        let (bytes, pos) = (self.bytes, self.pos);
+        if bytes.len() - pos < WAL_RECORD_HEADER_LEN {
+            return None;
         }
         let len = read_u32(bytes, pos);
         if len == 0 || !len.is_multiple_of(4) || len > MAX_RECORD_BYTES {
-            break Some(pos as u64);
+            return None;
         }
-        let len = len as usize;
-        if rest < WAL_RECORD_HEADER_LEN + len {
-            break Some(pos as u64);
+        let end = pos + WAL_RECORD_HEADER_LEN + len as usize;
+        if bytes.len() < end {
+            return None;
         }
-        let crc = read_u32(bytes, pos + 4);
-        let body = &bytes[pos + 8..pos + WAL_RECORD_HEADER_LEN + len];
-        if crc32(body) != crc {
-            break Some(pos as u64);
+        if crc32(&bytes[pos + 8..end]) != read_u32(bytes, pos + 4) {
+            return None;
         }
-        let offset = read_u64(bytes, pos + 8);
-        let mut events = Vec::with_capacity(len / 4);
-        let mut ok = true;
-        for i in 0..len / 4 {
-            match WppEvent::decode(read_u32(bytes, pos + WAL_RECORD_HEADER_LEN + i * 4)) {
-                Some(e) => events.push(e),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
+        let payload = &bytes[pos + WAL_RECORD_HEADER_LEN..end];
+        if payload.chunks_exact(4).any(|w| WppEvent::decode(read_u32(w, 0)).is_none()) {
+            return None;
         }
-        if !ok {
-            break Some(pos as u64);
+        Some(Record { at: pos as u64, offset: read_u64(bytes, pos + 8), payload })
+    }
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = Record<'a>;
+
+    fn next(&mut self) -> Option<Record<'a>> {
+        if self.stopped || self.pos == self.bytes.len() {
+            return None;
         }
-        batches.push((offset, events));
-        pos += WAL_RECORD_HEADER_LEN + len;
-    };
+        let record = self.parse();
+        match &record {
+            Some(r) => self.pos += WAL_RECORD_HEADER_LEN + r.payload.len(),
+            None => self.stopped = true,
+        }
+        record
+    }
+}
+
+/// Tolerantly replays a WAL image: returns every record in the clean
+/// prefix and records where (if anywhere) the log turned unreadable.
+/// Header handling is [`Records::new`]'s: an empty image is a clean
+/// empty log, a short header is a torn tail at offset 0.
+pub fn replay_bytes(bytes: &[u8]) -> Result<WalReplay, WalError> {
+    let mut records = Records::new(bytes)?;
+    let batches = records.by_ref().map(|r| (r.offset, r.events())).collect();
+    let clean = records.position();
     Ok(WalReplay {
         batches,
-        clean_bytes: pos as u64,
-        torn_at,
-        torn_bytes: (bytes.len() - pos) as u64,
+        clean_bytes: clean as u64,
+        torn_at: (clean < bytes.len()).then_some(clean as u64),
+        torn_bytes: (bytes.len() - clean) as u64,
     })
 }
 

@@ -116,7 +116,7 @@ fn corpus_events() -> Vec<WppEvent> {
     wpp.events()
 }
 
-/// Deterministically builds the `segdir-v1` fixture into `dir`: a
+/// Deterministically builds the `segdir-v2` fixture into `dir`: a
 /// mid-flight compactor directory as a killed process leaves it — a few
 /// sealed segments, a WAL tail of acknowledged-but-unsealed events, and
 /// a torn half-record at the WAL's end (an append the crash interrupted).
@@ -171,7 +171,9 @@ fn regenerate_golden_corpus() {
     for (name, bytes) in build_corpus() {
         std::fs::write(dir.join(name), bytes).expect("write corpus file");
     }
-    build_segdir(&dir.join("segdir-v1"));
+    // `segdir-v1/` (archive segments) is no longer written by any build;
+    // it stays as the read-compatibility fixture and is never rewritten.
+    build_segdir(&dir.join("segdir-v2"));
 }
 
 #[test]
@@ -295,13 +297,13 @@ fn segdir_corpus_is_byte_stable() {
     let fresh_dir = std::env::temp_dir().join(format!("twpp-segdir-stability-{}", std::process::id()));
     build_segdir(&fresh_dir);
     let fresh = dir_files(&fresh_dir);
-    let golden = dir_files(&corpus_dir().join("segdir-v1"));
+    let golden = dir_files(&corpus_dir().join("segdir-v2"));
     let names = |fs: &[(String, Vec<u8>)]| fs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
     assert_eq!(names(&golden), names(&fresh), "segdir file set drifted");
     for ((name, want), (_, got)) in golden.iter().zip(&fresh) {
         assert_eq!(
             want, got,
-            "segdir-v1/{name}: bytes drifted from the golden fixture; if the \
+            "segdir-v2/{name}: bytes drifted from the golden fixture; if the \
              WAL/manifest/archive format change is intentional, bump the \
              version and regenerate"
         );
@@ -310,15 +312,24 @@ fn segdir_corpus_is_byte_stable() {
 }
 
 /// The forward-compatibility promise for ingest state: every future
-/// version must be able to pick up this exact on-disk directory — sealed
-/// segments, WAL tail, torn trailing record — resume it, and finish to
-/// the same archive a batch compaction of the whole stream produces.
+/// version must be able to pick up these exact on-disk directories —
+/// sealed segments, WAL tail, torn trailing record — resume them, and
+/// finish to the same archive a batch compaction of the whole stream
+/// produces. `segdir-v1` holds archive segments an older build sealed,
+/// so its resume seals raw windows behind them and merges a mixed chain;
+/// `segdir-v2` holds raw windows.
 #[test]
 fn segdir_corpus_resumes_and_finishes_byte_identically() {
+    for fixture in ["segdir-v1", "segdir-v2"] {
+        resume_and_finish_fixture(fixture);
+    }
+}
+
+fn resume_and_finish_fixture(fixture: &str) {
     // Resume mutates its directory (truncates the torn tail, seals,
     // merges), so work on a copy of the golden fixture.
-    let golden = corpus_dir().join("segdir-v1");
-    let work = std::env::temp_dir().join(format!("twpp-segdir-resume-{}", std::process::id()));
+    let golden = corpus_dir().join(fixture);
+    let work = std::env::temp_dir().join(format!("twpp-{fixture}-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("create work dir");
     for (name, bytes) in dir_files(&golden) {
@@ -349,7 +360,7 @@ fn segdir_corpus_resumes_and_finishes_byte_identically() {
     assert_eq!(
         std::fs::read(&finish.path).expect("merged archive"),
         batch.as_bytes(),
-        "resumed fixture must converge to the batch archive"
+        "{fixture}: resumed fixture must converge to the batch archive"
     );
     std::fs::remove_dir_all(&work).ok();
 }
