@@ -2336,32 +2336,12 @@ fn cmd_query(
 ) -> Result<(), CliError> {
     let budget = limits.start();
     let obs = obs_files.observer();
-    // Numeric ids use the seek-read fast path; names need the header's
-    // name table, so load the archive header first.
-    let func = match func.parse::<u32>() {
-        Ok(id) => FuncId::from_u32(id),
-        Err(_) => {
-            let bytes =
-                fs::read(path).map_err(|e| fail(format!("{}: {e}", path.display())))?;
-            let archive = TwppArchive::from_bytes(bytes).map_err(fail)?;
-            archive
-                .function_by_name(func)
-                .ok_or_else(|| fail(format!("no function named `{func}` in archive")))?
-        }
-    };
-    let record = {
+    let (func, record) = {
         let _s = obs.span("query_read");
-        match TwppArchive::read_function_from_file(path, func) {
-            Ok(record) => record,
-            Err(ArchiveError::DegradedFunction(id)) => {
-                return Err(CliError::Degraded(format!(
-                    "function {} failed during compaction and carries no traces \
-                     in this archive (degraded entry)",
-                    id.as_u32()
-                )));
-            }
-            Err(e) => return Err(fail(e)),
-        }
+        let la = twpp::lazy::LazyArchive::open_observed(path, obs.clone())
+            .map_err(|e| fail(format!("{}: {e}", path.display())))?;
+        let func = resolve_func_lazy(&la, func)?;
+        (func, read_function_lazy(&la, func)?)
     };
     // The rendering is shared with the fleet server (twpp-server), so
     // `twpp query --remote` output is byte-identical by construction.
@@ -2425,7 +2405,7 @@ fn resolve_func_lazy(la: &twpp::lazy::LazyArchive, func: &str) -> Result<FuncId,
 }
 
 /// Reads one function through a lazy open, mapping degraded entries to
-/// the degraded exit exactly as `twpp query` does.
+/// the degraded exit.
 fn read_function_lazy(
     la: &twpp::lazy::LazyArchive,
     func: FuncId,
@@ -3411,15 +3391,27 @@ mod tests {
         let (compacted, stats) = twpp::compact_governed(&wpp, &options).unwrap();
         std::panic::set_hook(prev);
         assert_eq!(stats.degraded.len(), 1);
-        let names = std::collections::HashMap::new();
+        let names = compile(&src_path)
+            .unwrap()
+            .funcs()
+            .map(|(id, f)| (id, f.name().to_owned()))
+            .collect();
         let archive =
             TwppArchive::from_compacted_governed(&compacted, &names, 1, &stats.degraded.failed);
         let arc_path = dir.join("degraded.twpa");
         archive.save(&arc_path).unwrap();
 
-        // Querying the failed function reports degradation, not a crash.
-        let err = run(&["query", arc_path.to_str().unwrap(), "0"]).unwrap_err();
-        assert!(matches!(err, CliError::Degraded(_)), "{err}");
+        // Querying or slicing the failed function, by id or by name,
+        // reports degradation, not a crash or an unknown name.
+        let arc = arc_path.to_str().unwrap();
+        for args in [
+            &["query", arc, "0"][..],
+            &["query", arc, "f"],
+            &["slice", arc, "f", "0", "1"],
+        ] {
+            let err = run(args).unwrap_err();
+            assert!(matches!(err, CliError::Degraded(_)), "{args:?}: {err}");
+        }
 
         // The surviving function still answers.
         let output = run(&["query", arc_path.to_str().unwrap(), "1"]).unwrap();

@@ -37,18 +37,26 @@
 //! per-function regions at the recorded offsets
 //! ```
 //!
-//! Reading the traces of one function touches the header/footer and
-//! exactly one region in either version: `O(header + that function's
-//! data)`, versus scanning the entire stream for the uncompacted WPP.
+//! Reading the traces of one function touches the metadata prefix
+//! (header, DCG, names), the footer and exactly one region in either
+//! version: `O(metadata + footer + that function's data)`, versus
+//! scanning the entire stream for the uncompacted WPP. Every strict
+//! reader — [`TwppArchive`], [`crate::lazy::LazyArchive`] and
+//! [`TwppArchive::read_function_from_file`] — validates through the one
+//! index parser and frame check below; [`TwppArchive::recover`] reuses
+//! the footer parser, metadata CRC check and frame check.
 
 #![deny(clippy::unwrap_used)]
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 
 use twpp_ir::checksum::{crc32, Crc32};
 use twpp_ir::{BlockId, FuncId};
@@ -112,22 +120,22 @@ impl Durability {
     }
 }
 
-pub(crate) const MAGIC: [u8; 4] = *b"TWPA";
+const MAGIC: [u8; 4] = *b"TWPA";
 /// Current container version.
 pub const VERSION: u32 = 3;
 /// Legacy container version, still accepted by every read path.
 pub const VERSION_V2: u32 = 2;
-pub(crate) const FIXED_HEADER_LEN: usize = 20;
+const FIXED_HEADER_LEN: usize = 20;
 
-pub(crate) const FRAME_MAGIC: [u8; 4] = *b"TWPR";
+const FRAME_MAGIC: [u8; 4] = *b"TWPR";
 /// Bytes of a v3 frame header preceding the payload.
-pub(crate) const FRAME_HEADER_LEN: usize = 28;
-pub(crate) const FOOTER_MAGIC: [u8; 4] = *b"TWPT";
-pub(crate) const COMMIT_MAGIC: [u8; 4] = *b"TWPC";
-pub(crate) const FOOTER_ENTRY_BYTES: usize = 7 * 4;
+const FRAME_HEADER_LEN: usize = 28;
+const FOOTER_MAGIC: [u8; 4] = *b"TWPT";
+const COMMIT_MAGIC: [u8; 4] = *b"TWPC";
+const FOOTER_ENTRY_BYTES: usize = 7 * 4;
 /// Footer bytes besides the entries: magic + n_funcs + data_len +
 /// footer_crc + commit marker.
-pub(crate) const FOOTER_FIXED_LEN: usize = 20;
+const FOOTER_FIXED_LEN: usize = 20;
 
 /// Footer `offset` sentinel marking a function the writer recorded as
 /// *failed during compaction* (degraded run): no frame bytes exist for
@@ -140,7 +148,8 @@ pub const MAX_FUNCTIONS: usize = 1 << 20;
 /// Upper bound on the decompressed DCG size accepted by [`TwppArchive::read_dcg`].
 pub const MAX_DCG_RAW_BYTES: usize = 1 << 28;
 
-const TABLE_ENTRY_WORDS: usize = 6; // v2
+/// Bytes of a v2 header table entry (a footer entry without the CRC).
+const V2_ENTRY_BYTES: usize = 6 * 4;
 
 /// Errors produced while encoding or decoding an archive.
 #[derive(Debug)]
@@ -261,22 +270,22 @@ impl From<LzwError> for ArchiveError {
 /// One entry of the archive's function table.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) struct TableEntry {
-    pub(crate) func: FuncId,
-    pub(crate) call_count: u32,
-    pub(crate) n_dicts: u32,
-    pub(crate) n_traces: u32,
+    func: FuncId,
+    call_count: u32,
+    n_dicts: u32,
+    n_traces: u32,
     /// v3: offset of the function's *frame* from the start of the data
     /// section. v2: offset of the raw region.
-    pub(crate) offset: u32,
+    offset: u32,
     /// Payload length in bytes (excluding the v3 frame header).
-    pub(crate) byte_len: u32,
+    byte_len: u32,
     /// v3 frame CRC (over header fields + payload); 0 for v2 entries.
-    pub(crate) crc: u32,
+    crc: u32,
 }
 
 impl TableEntry {
     /// Whether this entry is a degraded-function sentinel (no frame).
-    pub(crate) fn is_sentinel(&self) -> bool {
+    fn is_sentinel(&self) -> bool {
         self.offset == SENTINEL_OFFSET && self.byte_len == 0
     }
 }
@@ -635,18 +644,7 @@ fn encode_frame(fb: &FunctionBlock, codec: Codec) -> Result<EncodedFrame, Archiv
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TwppArchive {
     bytes: Vec<u8>,
-    table: Vec<TableEntry>,
-    index: HashMap<FuncId, usize>,
-    names: Vec<Option<String>>,
-    version: u32,
-    /// Offset of the compressed DCG.
-    dcg_start: usize,
-    dcg_comp_len: usize,
-    /// Offset of the data section (frames for v3, raw regions for v2).
-    data_start: usize,
-    /// Functions recorded as failed during a degraded compaction run
-    /// (`(func, call_count)`), parsed from sentinel footer entries.
-    failed: Vec<(FuncId, u32)>,
+    index: Index,
 }
 
 impl TwppArchive {
@@ -748,89 +746,8 @@ impl TwppArchive {
     /// [`ArchiveError::NotCommitted`] for v3 archives whose write was
     /// interrupted (use [`TwppArchive::recover`] to salvage those).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<TwppArchive, ArchiveError> {
-        if bytes.len() < FIXED_HEADER_LEN {
-            return Err(ArchiveError::Truncated);
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(ArchiveError::BadMagic);
-        }
-        match read_u32(&bytes[4..8]) {
-            VERSION_V2 => TwppArchive::from_bytes_v2(bytes),
-            VERSION => TwppArchive::from_bytes_v3(bytes),
-            v => Err(ArchiveError::BadVersion(v)),
-        }
-    }
-
-    fn from_bytes_v2(bytes: Vec<u8>) -> Result<TwppArchive, ArchiveError> {
-        let (table, names, dcg_comp_len, data_start) = parse_header_v2(&bytes)?;
-        // Validate regions lie within the buffer.
-        for e in &table {
-            let end = data_start
-                .checked_add(e.offset as usize)
-                .and_then(|x| x.checked_add(e.byte_len as usize))
-                .ok_or(ArchiveError::Truncated)?;
-            if end > bytes.len() {
-                return Err(ArchiveError::Truncated);
-            }
-        }
-        let index = table.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
-        let dcg_start = FIXED_HEADER_LEN + table.len() * TABLE_ENTRY_WORDS * 4;
-        Ok(TwppArchive {
-            bytes,
-            table,
-            index,
-            names,
-            version: VERSION_V2,
-            dcg_start,
-            dcg_comp_len,
-            data_start,
-            failed: Vec::new(),
-        })
-    }
-
-    fn from_bytes_v3(bytes: Vec<u8>) -> Result<TwppArchive, ArchiveError> {
-        let meta = parse_meta_v3(&bytes)?;
-        verify_meta_crcs(&bytes, &meta)?;
-        let name_map = parse_names_v3(&bytes[meta.names_start..meta.names_start + meta.names_len])?;
-        let (all_entries, footer_start) = parse_footer_v3(&bytes, meta.data_start)?;
-        // Split degraded-function sentinels from live entries, then
-        // validate that every live frame lies within the data section.
-        let mut table = Vec::with_capacity(all_entries.len());
-        let mut failed = Vec::new();
-        for e in all_entries {
-            if e.is_sentinel() {
-                failed.push((e.func, e.call_count));
-            } else {
-                table.push(e);
-            }
-        }
-        for e in &table {
-            let end = meta
-                .data_start
-                .checked_add(e.offset as usize)
-                .and_then(|x| x.checked_add(FRAME_HEADER_LEN))
-                .and_then(|x| x.checked_add(e.byte_len as usize))
-                .ok_or(ArchiveError::Truncated)?;
-            if end > footer_start {
-                return Err(ArchiveError::Truncated);
-            }
-        }
-        let names = table
-            .iter()
-            .map(|e| name_map.get(&e.func).cloned())
-            .collect();
-        let index = table.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
-        Ok(TwppArchive {
-            bytes,
-            table,
-            index,
-            names,
-            version: VERSION,
-            dcg_start: FIXED_HEADER_LEN,
-            dcg_comp_len: meta.dcg_comp_len,
-            data_start: meta.data_start,
-            failed,
-        })
+        let index = Index::parse(&bytes[..])?;
+        Ok(TwppArchive { bytes, index })
     }
 
     /// Salvages whatever survives in a damaged (or perfectly healthy)
@@ -935,49 +852,44 @@ impl TwppArchive {
 
     /// Container version of this archive (2 or 3).
     pub fn version(&self) -> u32 {
-        self.version
+        self.index.version
     }
 
     /// Function ids present, most-frequently-called first. Degraded
     /// (failed) functions are not included; see
     /// [`TwppArchive::failed_functions`].
     pub fn function_ids(&self) -> Vec<FuncId> {
-        self.table.iter().map(|e| e.func).collect()
+        self.index.function_ids()
     }
 
     /// Functions the writer recorded as failed during a degraded
     /// compaction run, as `(func, call_count)` pairs. Empty for archives
     /// produced by a clean run.
     pub fn failed_functions(&self) -> &[(FuncId, u32)] {
-        &self.failed
+        self.index.failed_functions()
     }
 
     /// Whether this archive was produced by a degraded run (at least one
     /// function's compaction stage failed and was skipped).
     pub fn is_degraded(&self) -> bool {
-        !self.failed.is_empty()
+        self.index.is_degraded()
     }
 
-    /// The embedded name of `func`, if the archive stores names.
+    /// The embedded name of `func` (live or degraded), if the archive
+    /// stores names.
     pub fn function_name(&self, func: FuncId) -> Option<&str> {
-        let &i = self.index.get(&func)?;
-        self.names[i].as_deref()
+        self.index.function_name(func)
     }
 
-    /// Looks up a function id by its embedded name.
+    /// Looks up a function id by its embedded name. Degraded functions
+    /// resolve too; reading one reports [`ArchiveError::DegradedFunction`].
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
-        self.table
-            .iter()
-            .enumerate()
-            .find(|(i, _)| self.names[*i].as_deref() == Some(name))
-            .map(|(_, e)| e.func)
+        self.index.function_by_name(name)
     }
 
     /// The recorded call count of `func`, if present.
     pub fn call_count(&self, func: FuncId) -> Option<u64> {
-        self.index
-            .get(&func)
-            .map(|&i| u64::from(self.table[i].call_count))
+        self.index.call_count(func)
     }
 
     /// Decodes the traces and dictionaries of one function, touching only
@@ -986,39 +898,12 @@ impl TwppArchive {
     ///
     /// # Errors
     ///
-    /// Returns [`ArchiveError::UnknownFunction`] for absent functions, a
+    /// Returns [`ArchiveError::UnknownFunction`] for absent functions,
+    /// [`ArchiveError::DegradedFunction`] for degraded ones, a
     /// [`ArchiveError::ChecksumMismatch`] for regions whose bytes rotted,
     /// or a decoding error for structurally corrupt regions.
     pub fn read_function(&self, func: FuncId) -> Result<FunctionRecord, ArchiveError> {
-        let Some(&i) = self.index.get(&func) else {
-            if self.failed.iter().any(|&(f, _)| f == func) {
-                return Err(ArchiveError::DegradedFunction(func));
-            }
-            return Err(ArchiveError::UnknownFunction(func));
-        };
-        let e = self.table[i];
-        let start = self.data_start + e.offset as usize;
-        if self.version == VERSION_V2 {
-            let region = &self.bytes[start..start + e.byte_len as usize];
-            return decode_region(e, region);
-        }
-        if self.bytes[start..start + 4] != FRAME_MAGIC {
-            return Err(ArchiveError::Corrupt("frame magic"));
-        }
-        let payload_start = start + FRAME_HEADER_LEN;
-        let payload = &self.bytes[payload_start..payload_start + e.byte_len as usize];
-        let mut h = Crc32::new();
-        h.update(&self.bytes[start + 4..start + 24]);
-        h.update(payload);
-        let actual = h.finalize();
-        if actual != e.crc {
-            return Err(ArchiveError::ChecksumMismatch {
-                region: "function region",
-                expected: e.crc,
-                actual,
-            });
-        }
-        decode_region(e, payload)
+        self.index.read_frame(&self.bytes[..], self.index.entry(func)?)
     }
 
     /// Decompresses and decodes the dynamic call graph. Decoding is
@@ -1029,8 +914,7 @@ impl TwppArchive {
     ///
     /// Returns a decoding error for corrupt archives.
     pub fn read_dcg(&self) -> Result<Dcg, ArchiveError> {
-        let comp = &self.bytes[self.dcg_start..self.dcg_start + self.dcg_comp_len];
-        decode_dcg(comp)
+        self.index.read_dcg()
     }
 
     /// Fully decodes the archive back into a [`CompactedTwpp`].
@@ -1040,10 +924,9 @@ impl TwppArchive {
     /// Returns a decoding error for corrupt archives.
     pub fn to_compacted(&self) -> Result<CompactedTwpp, ArchiveError> {
         let dcg = self.read_dcg()?;
-        let mut functions = Vec::with_capacity(self.table.len());
-        for e in &self.table {
-            let r = self.read_function(e.func)?;
-            functions.push(r.into_block());
+        let mut functions = Vec::with_capacity(self.index.table.len());
+        for e in &self.index.table {
+            functions.push(self.index.read_frame(&self.bytes[..], *e)?.into_block());
         }
         Ok(CompactedTwpp { dcg, functions })
     }
@@ -1085,156 +968,22 @@ impl TwppArchive {
     }
 
     /// Reads the traces of a single function **directly from a file**:
-    /// reads the header (and for v3, the footer), seeks to the function's
-    /// region and decodes only those bytes. This is the exact experiment
-    /// of Table 4's column C. Allocation is bounded by the file size
-    /// before any declared count is trusted.
+    /// parses and verifies the index (the metadata prefix with its DCG
+    /// and name-table checksums, and for v3 the commit footer), then
+    /// seeks to the function's region and decodes only those bytes. This
+    /// is the exact experiment of Table 4's column C. Allocation is
+    /// bounded by the file size before any declared count is trusted.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and format errors.
+    /// Propagates I/O and format errors, exactly as
+    /// [`TwppArchive::load`] followed by [`TwppArchive::read_function`]
+    /// would report them.
     pub fn read_function_from_file(path: &Path, func: FuncId) -> Result<FunctionRecord, ArchiveError> {
-        let mut f = File::open(path)?;
-        let file_len = f.metadata()?.len();
-        let mut fixed = [0u8; FIXED_HEADER_LEN];
-        f.read_exact(&mut fixed)?;
-        if fixed[0..4] != MAGIC {
-            return Err(ArchiveError::BadMagic);
-        }
-        match read_u32(&fixed[4..8]) {
-            VERSION_V2 => read_function_from_file_v2(&mut f, file_len, &fixed, func),
-            VERSION => read_function_from_file_v3(&mut f, file_len, &fixed, func),
-            v => Err(ArchiveError::BadVersion(v)),
-        }
+        let file = Mutex::new(File::open(path)?);
+        let index = Index::parse(&file)?;
+        index.read_frame(&file, index.entry(func)?)
     }
-}
-
-fn read_function_from_file_v2(
-    f: &mut File,
-    file_len: u64,
-    fixed: &[u8; FIXED_HEADER_LEN],
-    func: FuncId,
-) -> Result<FunctionRecord, ArchiveError> {
-    let n_funcs = read_u32(&fixed[8..12]) as usize;
-    let dcg_comp_len = read_u32(&fixed[12..16]) as usize;
-    let names_len = read_u32(&fixed[16..20]) as usize;
-    check_func_count(n_funcs)?;
-    let table_len = n_funcs * TABLE_ENTRY_WORDS * 4;
-    // Bound the allocation by what the file can actually hold.
-    if (FIXED_HEADER_LEN + table_len) as u64 > file_len {
-        return Err(ArchiveError::Truncated);
-    }
-    let mut table_bytes = vec![0u8; table_len];
-    f.read_exact(&mut table_bytes)?;
-    let data_start = FIXED_HEADER_LEN + table_len + dcg_comp_len.div_ceil(4) * 4 + names_len;
-    for chunk in table_bytes.chunks_exact(TABLE_ENTRY_WORDS * 4) {
-        let e = TableEntry {
-            func: FuncId::from_u32(read_u32(&chunk[0..4])),
-            call_count: read_u32(&chunk[4..8]),
-            n_dicts: read_u32(&chunk[8..12]),
-            n_traces: read_u32(&chunk[12..16]),
-            offset: read_u32(&chunk[16..20]),
-            byte_len: read_u32(&chunk[20..24]),
-            crc: 0,
-        };
-        if e.func == func {
-            let start = (data_start + e.offset as usize) as u64;
-            if start + u64::from(e.byte_len) > file_len {
-                return Err(ArchiveError::Truncated);
-            }
-            f.seek(SeekFrom::Start(start))?;
-            let mut region = vec![0u8; e.byte_len as usize];
-            f.read_exact(&mut region)?;
-            return decode_region(e, &region);
-        }
-    }
-    Err(ArchiveError::UnknownFunction(func))
-}
-
-fn read_function_from_file_v3(
-    f: &mut File,
-    file_len: u64,
-    fixed: &[u8; FIXED_HEADER_LEN],
-    func: FuncId,
-) -> Result<FunctionRecord, ArchiveError> {
-    let stored = read_u32(&fixed[16..20]);
-    let actual = crc32(&fixed[0..16]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "header",
-            expected: stored,
-            actual,
-        });
-    }
-    let dcg_comp_len = read_u32(&fixed[8..12]) as usize;
-    let names_len = read_u32(&fixed[12..16]) as usize;
-    let data_start = FIXED_HEADER_LEN + dcg_comp_len.div_ceil(4) * 4 + 4 + names_len + 4;
-
-    // Footer tail: n_funcs | data_len | footer_crc | "TWPC".
-    if file_len < (data_start + FOOTER_FIXED_LEN) as u64 {
-        return Err(ArchiveError::Truncated);
-    }
-    let mut tail = [0u8; 16];
-    f.seek(SeekFrom::End(-16))?;
-    f.read_exact(&mut tail)?;
-    if tail[12..16] != COMMIT_MAGIC {
-        return Err(ArchiveError::NotCommitted);
-    }
-    let n_funcs = read_u32(&tail[0..4]) as usize;
-    check_func_count(n_funcs)?;
-    let footer_len = 4 + n_funcs * FOOTER_ENTRY_BYTES + 16;
-    if (footer_len as u64) > file_len - data_start as u64 {
-        return Err(ArchiveError::Truncated);
-    }
-    let footer_start = file_len - footer_len as u64;
-    f.seek(SeekFrom::Start(footer_start))?;
-    let mut footer = vec![0u8; footer_len];
-    f.read_exact(&mut footer)?;
-    if footer[0..4] != FOOTER_MAGIC {
-        return Err(ArchiveError::Corrupt("footer magic"));
-    }
-    let stored = read_u32(&footer[footer_len - 8..footer_len - 4]);
-    let actual = crc32(&footer[..footer_len - 8]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "footer",
-            expected: stored,
-            actual,
-        });
-    }
-    for chunk in footer[4..4 + n_funcs * FOOTER_ENTRY_BYTES].chunks_exact(FOOTER_ENTRY_BYTES) {
-        let e = footer_entry(chunk);
-        if e.func != func {
-            continue;
-        }
-        if e.is_sentinel() {
-            return Err(ArchiveError::DegradedFunction(func));
-        }
-        let frame_start = (data_start + e.offset as usize) as u64;
-        let frame_len = FRAME_HEADER_LEN + e.byte_len as usize;
-        if frame_start + frame_len as u64 > footer_start {
-            return Err(ArchiveError::Truncated);
-        }
-        f.seek(SeekFrom::Start(frame_start))?;
-        let mut frame = vec![0u8; frame_len];
-        f.read_exact(&mut frame)?;
-        if frame[0..4] != FRAME_MAGIC {
-            return Err(ArchiveError::Corrupt("frame magic"));
-        }
-        let mut h = Crc32::new();
-        h.update(&frame[4..24]);
-        h.update(&frame[FRAME_HEADER_LEN..]);
-        let actual = h.finalize();
-        if actual != e.crc {
-            return Err(ArchiveError::ChecksumMismatch {
-                region: "function region",
-                expected: e.crc,
-                actual,
-            });
-        }
-        return decode_region(e, &frame[FRAME_HEADER_LEN..]);
-    }
-    Err(ArchiveError::UnknownFunction(func))
 }
 
 /// Encodes a compacted TWPP in the **legacy v2 layout**. Retained so the
@@ -1320,11 +1069,11 @@ fn push_u32(bytes: &mut Vec<u8>, w: u32) {
     bytes.extend_from_slice(&w.to_le_bytes());
 }
 
-pub(crate) fn read_u32(bytes: &[u8]) -> u32 {
+fn read_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
 }
 
-pub(crate) fn check_func_count(n_funcs: usize) -> Result<(), ArchiveError> {
+fn check_func_count(n_funcs: usize) -> Result<(), ArchiveError> {
     if n_funcs > MAX_FUNCTIONS {
         return Err(ArchiveError::TooLarge {
             what: "function count",
@@ -1335,7 +1084,7 @@ pub(crate) fn check_func_count(n_funcs: usize) -> Result<(), ArchiveError> {
     Ok(())
 }
 
-pub(crate) fn decode_dcg(comp: &[u8]) -> Result<Dcg, ArchiveError> {
+fn decode_dcg(comp: &[u8]) -> Result<Dcg, ArchiveError> {
     let raw = lzw::decompress_bounded(comp, MAX_DCG_RAW_BYTES)?;
     if !raw.len().is_multiple_of(4) {
         return Err(ArchiveError::Corrupt("DCG byte length"));
@@ -1348,149 +1097,210 @@ pub(crate) fn decode_dcg(comp: &[u8]) -> Result<Dcg, ArchiveError> {
 }
 
 // ---------------------------------------------------------------------------
-// v2 parsing
+// The strict reader: one index, parsed once from a byte source
 // ---------------------------------------------------------------------------
 
-type ParsedHeaderV2 = (Vec<TableEntry>, Vec<Option<String>>, usize, usize);
-
-fn parse_header_v2(bytes: &[u8]) -> Result<ParsedHeaderV2, ArchiveError> {
-    if bytes.len() < FIXED_HEADER_LEN {
-        return Err(ArchiveError::Truncated);
-    }
-    let n_funcs = read_u32(&bytes[8..12]) as usize;
-    let dcg_comp_len = read_u32(&bytes[12..16]) as usize;
-    let names_len = read_u32(&bytes[16..20]) as usize;
-    check_func_count(n_funcs)?;
-    let table_len = n_funcs
-        .checked_mul(TABLE_ENTRY_WORDS * 4)
-        .ok_or(ArchiveError::Truncated)?;
-    let names_start = FIXED_HEADER_LEN
-        .checked_add(table_len)
-        .and_then(|x| x.checked_add(dcg_comp_len.div_ceil(4) * 4))
-        .ok_or(ArchiveError::Truncated)?;
-    let data_start = names_start
-        .checked_add(names_len)
-        .ok_or(ArchiveError::Truncated)?;
-    if data_start > bytes.len() {
-        return Err(ArchiveError::Truncated);
-    }
-    let mut table = Vec::with_capacity(n_funcs);
-    for chunk in
-        bytes[FIXED_HEADER_LEN..FIXED_HEADER_LEN + table_len].chunks_exact(TABLE_ENTRY_WORDS * 4)
-    {
-        table.push(TableEntry {
-            func: FuncId::from_u32(read_u32(&chunk[0..4])),
-            call_count: read_u32(&chunk[4..8]),
-            n_dicts: read_u32(&chunk[8..12]),
-            n_traces: read_u32(&chunk[12..16]),
-            offset: read_u32(&chunk[16..20]),
-            byte_len: read_u32(&chunk[20..24]),
-            crc: 0,
-        });
-    }
-    let names = parse_names_v2(&bytes[names_start..names_start + names_len], n_funcs)?;
-    Ok((table, names, dcg_comp_len, data_start))
+/// Where a strict reader's archive bytes live: in memory (reads borrow)
+/// or in an open file (reads seek and copy). [`Index::parse`] checks
+/// every range it reads, and every frame range it records, against
+/// [`Source::size`] before a read allocates for it.
+pub(crate) trait Source {
+    /// Total length in bytes.
+    fn size(&self) -> Result<usize, ArchiveError>;
+    /// The bytes in `at`.
+    fn read(&self, at: Range<usize>) -> Result<Cow<'_, [u8]>, ArchiveError>;
 }
 
-/// Parses the v2 length-prefixed name table; an empty blob means unnamed.
-fn parse_names_v2(blob: &[u8], n_funcs: usize) -> Result<Vec<Option<String>>, ArchiveError> {
-    if blob.is_empty() {
-        return Ok(vec![None; n_funcs]);
+impl Source for [u8] {
+    fn size(&self) -> Result<usize, ArchiveError> {
+        Ok(self.len())
     }
-    let mut names = Vec::with_capacity(n_funcs);
+
+    fn read(&self, at: Range<usize>) -> Result<Cow<'_, [u8]>, ArchiveError> {
+        self.get(at).map(Cow::Borrowed).ok_or(ArchiveError::Truncated)
+    }
+}
+
+impl Source for Mutex<File> {
+    fn size(&self) -> Result<usize, ArchiveError> {
+        let len = lock_unpoisoned(self).metadata()?.len();
+        usize::try_from(len).map_err(|_| ArchiveError::TooLarge {
+            what: "archive size",
+            declared: len,
+            limit: usize::MAX as u64,
+        })
+    }
+
+    fn read(&self, at: Range<usize>) -> Result<Cow<'_, [u8]>, ArchiveError> {
+        let mut buf = vec![0u8; at.len()];
+        let mut f = lock_unpoisoned(self);
+        f.seek(SeekFrom::Start(at.start as u64))?;
+        f.read_exact(&mut buf)?;
+        Ok(Cow::Owned(buf))
+    }
+}
+
+/// Recovers the guarded value even if another thread panicked while
+/// holding the lock: a file is always sought before it is read, and the
+/// caches guarded this way are read-mostly maps whose worst failure mode
+/// after a poisoning panic is a redundant decode.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Region geometry of the metadata prefix `[0, data_start)`, computed
+/// from the fixed header alone. v2: function table, compressed DCG
+/// (padded to 4), name table. v3: compressed DCG (padded to 4) and name
+/// table, each followed by its CRC.
+struct Meta {
+    dcg: Range<usize>,
+    /// v3: where the DCG's CRC is stored.
+    dcg_crc_at: usize,
+    names: Range<usize>,
+    /// v3: where the name table's CRC is stored.
+    names_crc_at: usize,
+    data_start: usize,
+}
+
+/// Computes the metadata geometry of an archive of `size` bytes from its
+/// fixed header: for v3 after verifying the header CRC and the name
+/// table's alignment, for v2 after capping the declared function count.
+fn parse_meta(fixed: &[u8], size: usize) -> Result<Meta, ArchiveError> {
+    let word = |i: usize| read_u32(&fixed[4 * i..4 * i + 4]);
+    // (v2 table bytes, DCG bytes, name-table bytes, bytes of each CRC)
+    let (table_len, dcg_len, names_len, crc_len) = match word(1) {
+        VERSION_V2 => {
+            check_func_count(word(2) as usize)?;
+            (u64::from(word(2)) * V2_ENTRY_BYTES as u64, word(3), word(4), 0)
+        }
+        VERSION => {
+            check_crc(fixed, "header", 0..16, 16)?;
+            if !word(3).is_multiple_of(4) {
+                return Err(ArchiveError::Corrupt("name table alignment"));
+            }
+            (0, word(2), word(3), 4)
+        }
+        v => return Err(ArchiveError::BadVersion(v)),
+    };
+    // Offsets in u64 cannot overflow: each term is below 2^34.
+    let dcg_start = FIXED_HEADER_LEN as u64 + table_len;
+    let dcg_crc_at = dcg_start + u64::from(dcg_len).next_multiple_of(4);
+    let names_start = dcg_crc_at + crc_len;
+    let names_crc_at = names_start + u64::from(names_len);
+    let data_start = names_crc_at + crc_len;
+    if data_start > size as u64 {
+        return Err(ArchiveError::Truncated);
+    }
+    // Every offset is now at most `size`, so the casts are exact.
+    let at = |x: u64| x as usize;
+    Ok(Meta {
+        dcg: at(dcg_start)..at(dcg_start) + dcg_len as usize,
+        dcg_crc_at: at(dcg_crc_at),
+        names: at(names_start)..at(names_crc_at),
+        names_crc_at: at(names_crc_at),
+        data_start: at(data_start),
+    })
+}
+
+/// Verifies the CRC32 stored at `crc_at` over `bytes[body]`: the one
+/// metadata checksum check (header, DCG, name table, footer). The caller
+/// guarantees both ranges lie within `bytes`.
+fn check_crc(
+    bytes: &[u8],
+    region: &'static str,
+    body: Range<usize>,
+    crc_at: usize,
+) -> Result<(), ArchiveError> {
+    let expected = read_u32(&bytes[crc_at..crc_at + 4]);
+    let actual = crc32(&bytes[body]);
+    if expected != actual {
+        return Err(ArchiveError::ChecksumMismatch {
+            region,
+            expected,
+            actual,
+        });
+    }
+    Ok(())
+}
+
+/// Checks a v3 frame (`TWPR` header plus payload) against the CRC its
+/// table entry records — the CRC covers the header fields and the
+/// payload — and returns the payload. The one frame check: the strict
+/// readers and recovery all call it.
+fn check_frame(frame: &[u8], crc: u32) -> Result<&[u8], ArchiveError> {
+    if frame.len() < FRAME_HEADER_LEN || frame[0..4] != FRAME_MAGIC {
+        return Err(ArchiveError::Corrupt("frame magic"));
+    }
+    let mut h = Crc32::new();
+    h.update(&frame[4..24]);
+    h.update(&frame[FRAME_HEADER_LEN..]);
+    let actual = h.finalize();
+    if actual != crc {
+        return Err(ArchiveError::ChecksumMismatch {
+            region: "function region",
+            expected: crc,
+            actual,
+        });
+    }
+    Ok(&frame[FRAME_HEADER_LEN..])
+}
+
+/// `len` bytes at `offset` into a data section starting at `data_start`;
+/// `None` on overflow.
+fn span_at(data_start: usize, offset: u32, len: usize) -> Option<Range<usize>> {
+    let start = data_start.checked_add(offset as usize)?;
+    Some(start..start.checked_add(len)?)
+}
+
+/// Decodes one function-table entry: seven words in a v3 footer, six (no
+/// CRC) in a v2 header.
+fn table_entry(chunk: &[u8]) -> TableEntry {
+    let word = |i: usize| read_u32(&chunk[4 * i..4 * i + 4]);
+    TableEntry {
+        func: FuncId::from_u32(word(0)),
+        call_count: word(1),
+        n_dicts: word(2),
+        n_traces: word(3),
+        offset: word(4),
+        byte_len: word(5),
+        crc: if chunk.len() == FOOTER_ENTRY_BYTES { word(6) } else { 0 },
+    }
+}
+
+/// Parses the v2 function table and name table from the metadata
+/// prefix. The name table holds, per table entry, a length-prefixed
+/// UTF-8 name, empty when unnamed; an empty blob names nothing.
+fn parse_table_v2(
+    prefix: &[u8],
+    meta: &Meta,
+) -> Result<(Vec<TableEntry>, HashMap<FuncId, String>), ArchiveError> {
+    let table: Vec<TableEntry> = prefix[FIXED_HEADER_LEN..meta.dcg.start]
+        .chunks_exact(V2_ENTRY_BYTES)
+        .map(table_entry)
+        .collect();
+    let blob = &prefix[meta.names.clone()];
+    let mut names = HashMap::new();
+    if blob.is_empty() {
+        return Ok((table, names));
+    }
     let mut pos = 0usize;
-    for _ in 0..n_funcs {
+    for e in &table {
         if pos + 4 > blob.len() {
             return Err(ArchiveError::Corrupt("name table"));
         }
         let len = read_u32(&blob[pos..pos + 4]) as usize;
         pos += 4;
-        if pos + len > blob.len() {
+        if len > blob.len() - pos {
             return Err(ArchiveError::Corrupt("name table"));
         }
         let name = std::str::from_utf8(&blob[pos..pos + len])
             .map_err(|_| ArchiveError::Corrupt("name table utf-8"))?;
         pos += len;
-        names.push(if name.is_empty() {
-            None
-        } else {
-            Some(name.to_owned())
-        });
+        if !name.is_empty() {
+            names.insert(e.func, name.to_owned());
+        }
     }
-    Ok(names)
-}
-
-// ---------------------------------------------------------------------------
-// v3 parsing
-// ---------------------------------------------------------------------------
-
-/// Region geometry of a v3 archive, computed from the fixed header.
-pub(crate) struct MetaV3 {
-    pub(crate) dcg_comp_len: usize,
-    pub(crate) dcg_crc_at: usize,
-    pub(crate) names_start: usize,
-    pub(crate) names_len: usize,
-    pub(crate) names_crc_at: usize,
-    pub(crate) data_start: usize,
-}
-
-/// Verifies the header checksum and computes the metadata region offsets.
-pub(crate) fn parse_meta_v3(bytes: &[u8]) -> Result<MetaV3, ArchiveError> {
-    let stored = read_u32(&bytes[16..20]);
-    let actual = crc32(&bytes[0..16]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "header",
-            expected: stored,
-            actual,
-        });
-    }
-    let dcg_comp_len = read_u32(&bytes[8..12]) as usize;
-    let names_len = read_u32(&bytes[12..16]) as usize;
-    if !names_len.is_multiple_of(4) {
-        return Err(ArchiveError::Corrupt("name table alignment"));
-    }
-    let dcg_crc_at = FIXED_HEADER_LEN
-        .checked_add(dcg_comp_len.div_ceil(4) * 4)
-        .ok_or(ArchiveError::Truncated)?;
-    let names_start = dcg_crc_at.checked_add(4).ok_or(ArchiveError::Truncated)?;
-    let names_crc_at = names_start
-        .checked_add(names_len)
-        .ok_or(ArchiveError::Truncated)?;
-    let data_start = names_crc_at.checked_add(4).ok_or(ArchiveError::Truncated)?;
-    if data_start > bytes.len() {
-        return Err(ArchiveError::Truncated);
-    }
-    Ok(MetaV3 {
-        dcg_comp_len,
-        dcg_crc_at,
-        names_start,
-        names_len,
-        names_crc_at,
-        data_start,
-    })
-}
-
-pub(crate) fn verify_meta_crcs(bytes: &[u8], meta: &MetaV3) -> Result<(), ArchiveError> {
-    let stored = read_u32(&bytes[meta.dcg_crc_at..meta.dcg_crc_at + 4]);
-    let actual = crc32(&bytes[FIXED_HEADER_LEN..FIXED_HEADER_LEN + meta.dcg_comp_len]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "dcg",
-            expected: stored,
-            actual,
-        });
-    }
-    let stored = read_u32(&bytes[meta.names_crc_at..meta.names_crc_at + 4]);
-    let actual = crc32(&bytes[meta.names_start..meta.names_start + meta.names_len]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "name table",
-            expected: stored,
-            actual,
-        });
-    }
-    Ok(())
+    Ok((table, names))
 }
 
 /// Encodes the v3 keyed name table: `count, (func_id, len, utf8)…`,
@@ -1515,7 +1325,7 @@ fn encode_names_v3(names: &HashMap<FuncId, String>) -> Vec<u8> {
 }
 
 /// Parses the v3 keyed name table into a map.
-pub(crate) fn parse_names_v3(blob: &[u8]) -> Result<HashMap<FuncId, String>, ArchiveError> {
+fn parse_names_v3(blob: &[u8]) -> Result<HashMap<FuncId, String>, ArchiveError> {
     let mut map = HashMap::new();
     if blob.is_empty() {
         return Ok(map);
@@ -1554,93 +1364,217 @@ pub(crate) fn parse_names_v3(blob: &[u8]) -> Result<HashMap<FuncId, String>, Arc
     Ok(map)
 }
 
-pub(crate) fn footer_entry(chunk: &[u8]) -> TableEntry {
-    TableEntry {
-        func: FuncId::from_u32(read_u32(&chunk[0..4])),
-        call_count: read_u32(&chunk[4..8]),
-        n_dicts: read_u32(&chunk[8..12]),
-        n_traces: read_u32(&chunk[12..16]),
-        offset: read_u32(&chunk[16..20]),
-        byte_len: read_u32(&chunk[20..24]),
-        crc: read_u32(&chunk[24..28]),
-    }
-}
-
-/// Locates and verifies the commit footer; returns the table and the
-/// footer's start offset (= end of the data section).
-fn parse_footer_v3(bytes: &[u8], data_start: usize) -> Result<(Vec<TableEntry>, usize), ArchiveError> {
-    if bytes.len() < data_start + FOOTER_FIXED_LEN {
+/// Locates and verifies the commit footer of a v3 archive of `size`
+/// bytes whose data section starts at `data_start`: commit marker, count
+/// cap, footer CRC and the data-length cross-check. Returns every entry,
+/// degraded sentinels included, and the footer's start (= end of the
+/// data section).
+fn parse_footer_v3<S: Source + ?Sized>(
+    src: &S,
+    size: usize,
+    data_start: usize,
+) -> Result<(Vec<TableEntry>, usize), ArchiveError> {
+    if size - data_start < FOOTER_FIXED_LEN {
         return Err(ArchiveError::Truncated);
     }
-    if bytes[bytes.len() - 4..] != COMMIT_MAGIC {
+    let tail = src.read(size - 16..size)?;
+    if tail[12..16] != COMMIT_MAGIC {
         return Err(ArchiveError::NotCommitted);
     }
-    let tail = &bytes[bytes.len() - 16..];
     let n_funcs = read_u32(&tail[0..4]) as usize;
     let data_len = read_u32(&tail[4..8]) as usize;
     check_func_count(n_funcs)?;
     let footer_len = 4 + n_funcs * FOOTER_ENTRY_BYTES + 16;
-    if footer_len > bytes.len() - data_start {
+    if footer_len > size - data_start {
         return Err(ArchiveError::Truncated);
     }
-    let footer_start = bytes.len() - footer_len;
-    let footer = &bytes[footer_start..];
+    let footer_start = size - footer_len;
+    let footer = src.read(footer_start..size)?;
     if footer[0..4] != FOOTER_MAGIC {
         return Err(ArchiveError::Corrupt("footer magic"));
     }
-    let stored = read_u32(&footer[footer_len - 8..footer_len - 4]);
-    let actual = crc32(&footer[..footer_len - 8]);
-    if stored != actual {
-        return Err(ArchiveError::ChecksumMismatch {
-            region: "footer",
-            expected: stored,
-            actual,
-        });
-    }
+    check_crc(&footer, "footer", 0..footer_len - 8, footer_len - 8)?;
     if footer_start - data_start != data_len {
         return Err(ArchiveError::Corrupt("footer data length"));
     }
-    let table = footer[4..4 + n_funcs * FOOTER_ENTRY_BYTES]
+    let entries = footer[4..footer_len - 16]
         .chunks_exact(FOOTER_ENTRY_BYTES)
-        .map(footer_entry)
+        .map(table_entry)
         .collect();
-    Ok((table, footer_start))
+    Ok((entries, footer_start))
+}
+
+/// The validated index of an archive, parsed once by [`Index::parse`]
+/// from any [`Source`] and shared by every strict reader:
+/// [`TwppArchive`], [`crate::lazy::LazyArchive`] and
+/// [`TwppArchive::read_function_from_file`]. Everything in it was checked
+/// at parse: for v3 the header, DCG, name-table and footer CRCs, the
+/// commit marker and the footer's data length; for both versions the
+/// function-count cap and every frame's bounds.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Index {
+    version: u32,
+    /// Live entries in footer order (most-called first).
+    table: Vec<TableEntry>,
+    /// Position of each live function in `table`.
+    positions: HashMap<FuncId, usize>,
+    /// Degraded-function sentinels, `(func, call_count)`, in footer order.
+    failed: Vec<(FuncId, u32)>,
+    /// Embedded names of the listed functions, live or degraded.
+    names: HashMap<FuncId, String>,
+    /// The compressed DCG.
+    dcg: Vec<u8>,
+    /// Offset of the data section (v3 frames, v2 raw regions).
+    data_start: usize,
+}
+
+impl Index {
+    /// Parses and validates the index of the archive in `src`: the fixed
+    /// header, the metadata prefix and, for v3, the commit footer. No
+    /// frame is read.
+    pub(crate) fn parse<S: Source + ?Sized>(src: &S) -> Result<Index, ArchiveError> {
+        let size = src.size()?;
+        if size < FIXED_HEADER_LEN {
+            return Err(ArchiveError::Truncated);
+        }
+        let fixed = src.read(0..FIXED_HEADER_LEN)?;
+        if fixed[0..4] != MAGIC {
+            return Err(ArchiveError::BadMagic);
+        }
+        let version = read_u32(&fixed[4..8]);
+        let meta = parse_meta(&fixed, size)?;
+        let prefix = src.read(0..meta.data_start)?;
+        let (entries, mut names, data_end) = if version == VERSION {
+            check_crc(&prefix, "dcg", meta.dcg.clone(), meta.dcg_crc_at)?;
+            check_crc(&prefix, "name table", meta.names.clone(), meta.names_crc_at)?;
+            let names = parse_names_v3(&prefix[meta.names.clone()])?;
+            let (entries, footer_start) = parse_footer_v3(src, size, meta.data_start)?;
+            (entries, names, footer_start)
+        } else {
+            let (entries, names) = parse_table_v2(&prefix, &meta)?;
+            (entries, names, size)
+        };
+        let mut index = Index {
+            version,
+            table: Vec::with_capacity(entries.len()),
+            positions: HashMap::new(),
+            failed: Vec::new(),
+            names: HashMap::new(),
+            dcg: prefix[meta.dcg].to_vec(),
+            data_start: meta.data_start,
+        };
+        for e in entries {
+            if version == VERSION && e.is_sentinel() {
+                index.failed.push((e.func, e.call_count));
+            } else if index.frame_span(&e).is_some_and(|s| s.end <= data_end) {
+                index.table.push(e);
+            } else {
+                return Err(ArchiveError::Truncated);
+            }
+        }
+        index.positions = index.table.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
+        names.retain(|f, _| {
+            index.positions.contains_key(f) || index.failed.iter().any(|&(g, _)| g == *f)
+        });
+        index.names = names;
+        Ok(index)
+    }
+
+    /// Live function ids in footer order, most-called first.
+    pub(crate) fn function_ids(&self) -> Vec<FuncId> {
+        self.table.iter().map(|e| e.func).collect()
+    }
+
+    /// Number of live functions.
+    pub(crate) fn function_count(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Degraded-function sentinels as `(func, call_count)`.
+    pub(crate) fn failed_functions(&self) -> &[(FuncId, u32)] {
+        &self.failed
+    }
+
+    /// Whether the archive lists at least one degraded function.
+    pub(crate) fn is_degraded(&self) -> bool {
+        !self.failed.is_empty()
+    }
+
+    /// The embedded name of a listed function, live or degraded.
+    pub(crate) fn function_name(&self, func: FuncId) -> Option<&str> {
+        self.names.get(&func).map(String::as_str)
+    }
+
+    /// The first listed function, in footer order and degraded ones
+    /// included, whose embedded name is `name`.
+    pub(crate) fn function_by_name(&self, name: &str) -> Option<FuncId> {
+        self.table
+            .iter()
+            .map(|e| e.func)
+            .chain(self.failed.iter().map(|&(f, _)| f))
+            .find(|&f| self.function_name(f) == Some(name))
+    }
+
+    /// The recorded call count of a live function.
+    pub(crate) fn call_count(&self, func: FuncId) -> Option<u64> {
+        self.entry(func).ok().map(|e| u64::from(e.call_count))
+    }
+
+    /// Decompresses and decodes the dynamic call graph.
+    pub(crate) fn read_dcg(&self) -> Result<Dcg, ArchiveError> {
+        decode_dcg(&self.dcg)
+    }
+
+    /// The table entry of a live function;
+    /// [`ArchiveError::DegradedFunction`] or
+    /// [`ArchiveError::UnknownFunction`] otherwise.
+    pub(crate) fn entry(&self, func: FuncId) -> Result<TableEntry, ArchiveError> {
+        match self.positions.get(&func) {
+            Some(&i) => Ok(self.table[i]),
+            None if self.failed.iter().any(|&(f, _)| f == func) => {
+                Err(ArchiveError::DegradedFunction(func))
+            }
+            None => Err(ArchiveError::UnknownFunction(func)),
+        }
+    }
+
+    /// Bytes a read of `e`'s frame fetches: the v3 frame header plus the
+    /// payload, or the bare v2 region.
+    pub(crate) fn frame_len(&self, e: &TableEntry) -> usize {
+        let header = if self.version == VERSION { FRAME_HEADER_LEN } else { 0 };
+        header + e.byte_len as usize
+    }
+
+    fn frame_span(&self, e: &TableEntry) -> Option<Range<usize>> {
+        span_at(self.data_start, e.offset, self.frame_len(e))
+    }
+
+    /// Reads `e`'s frame from `src`, checks it (v3) and decodes it.
+    pub(crate) fn read_frame<S: Source + ?Sized>(
+        &self,
+        src: &S,
+        e: TableEntry,
+    ) -> Result<FunctionRecord, ArchiveError> {
+        let frame = src.read(self.frame_span(&e).ok_or(ArchiveError::Truncated)?)?;
+        let payload = if self.version == VERSION {
+            check_frame(&frame, e.crc)?
+        } else {
+            &frame
+        };
+        decode_region(e, payload)
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Salvage
 // ---------------------------------------------------------------------------
 
-/// Checks one v3 frame (located via a verified footer entry) and decodes
-/// its payload.
-fn check_frame(
-    bytes: &[u8],
-    data_start: usize,
-    footer_start: usize,
-    e: TableEntry,
-) -> (RegionStatus, Option<FunctionRecord>) {
-    let Some(frame_start) = data_start.checked_add(e.offset as usize) else {
-        return (RegionStatus::Truncated, None);
-    };
-    let Some(end) = frame_start
-        .checked_add(FRAME_HEADER_LEN)
-        .and_then(|x| x.checked_add(e.byte_len as usize))
-    else {
-        return (RegionStatus::Truncated, None);
-    };
-    if end > footer_start || frame_start + 4 > footer_start {
-        return (RegionStatus::Truncated, None);
-    }
-    if bytes[frame_start..frame_start + 4] != FRAME_MAGIC {
+/// Recovery's verdict on one frame: the shared frame check, then the
+/// decode, with each failure mapped to a [`RegionStatus`].
+fn salvage_frame(frame: &[u8], e: TableEntry) -> (RegionStatus, Option<FunctionRecord>) {
+    let Ok(payload) = check_frame(frame, e.crc) else {
         return (RegionStatus::BadChecksum, None);
-    }
-    let payload = &bytes[frame_start + FRAME_HEADER_LEN..end];
-    let mut h = Crc32::new();
-    h.update(&bytes[frame_start + 4..frame_start + 24]);
-    h.update(payload);
-    if h.finalize() != e.crc {
-        return (RegionStatus::BadChecksum, None);
-    }
+    };
     match decode_region(e, payload) {
         Ok(r) => (RegionStatus::Ok, Some(r)),
         Err(err) => (RegionStatus::Undecodable(err.to_string()), None),
@@ -1685,28 +1619,18 @@ fn verify_frame_candidate(bytes: &[u8], pos: usize) -> FrameCandidate {
         byte_len: payload_len as u32,
         crc: read_u32(&bytes[pos + 24..pos + 28]),
     };
-    let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + payload_len];
-    let mut h = Crc32::new();
-    h.update(&bytes[pos + 4..pos + 24]);
-    h.update(payload);
-    if h.finalize() != e.crc {
-        return FrameCandidate {
-            verdict: verdict(RegionStatus::BadChecksum),
-            record: None,
-            advance: 4,
-        };
-    }
-    match decode_region(e, payload) {
-        Ok(r) => FrameCandidate {
-            verdict: verdict(RegionStatus::Ok),
-            record: Some(r),
-            advance: FRAME_HEADER_LEN + payload_len,
-        },
-        Err(err) => FrameCandidate {
-            verdict: verdict(RegionStatus::Undecodable(err.to_string())),
-            record: None,
-            advance: FRAME_HEADER_LEN + payload_len,
-        },
+    let (status, record) = salvage_frame(&bytes[pos..pos + FRAME_HEADER_LEN + payload_len], e);
+    // A frame that fails its checksum may be a stray magic: resync one
+    // word on. A checked frame is skipped whole, decodable or not.
+    let advance = if status == RegionStatus::BadChecksum {
+        4
+    } else {
+        FRAME_HEADER_LEN + payload_len
+    };
+    FrameCandidate {
+        verdict: verdict(status),
+        record,
+        advance,
     }
 }
 
@@ -1813,36 +1737,27 @@ fn recover_v3(bytes: &[u8], threads: usize) -> Result<(TwppArchive, RecoveryRepo
     let mut footer_table: Option<(Vec<TableEntry>, usize)> = None;
 
     if bytes.len() >= FIXED_HEADER_LEN {
-        if let Ok(meta) = parse_meta_v3(bytes) {
+        if let Ok(meta) = parse_meta(bytes, bytes.len()) {
             report.header_ok = true;
             report.strategy = SalvageStrategy::FrameScan;
             data_start = meta.data_start;
             scan_from = meta.data_start;
-            // DCG: checksum, then decode.
-            let dcg_bytes = &bytes[FIXED_HEADER_LEN..FIXED_HEADER_LEN + meta.dcg_comp_len];
-            let dcg_crc_ok =
-                read_u32(&bytes[meta.dcg_crc_at..meta.dcg_crc_at + 4]) == crc32(dcg_bytes);
-            if dcg_crc_ok {
-                if let Ok(d) = decode_dcg(dcg_bytes) {
+            // DCG and names: checksum, then decode.
+            if check_crc(bytes, "dcg", meta.dcg.clone(), meta.dcg_crc_at).is_ok() {
+                if let Ok(d) = decode_dcg(&bytes[meta.dcg.clone()]) {
                     dcg = d;
                     report.dcg_ok = true;
-                    report.salvaged_bytes += meta.dcg_comp_len;
+                    report.salvaged_bytes += meta.dcg.len();
                 }
             }
-            // Names: checksum, then decode.
-            let names_bytes = &bytes[meta.names_start..meta.names_start + meta.names_len];
-            let names_crc_ok =
-                read_u32(&bytes[meta.names_crc_at..meta.names_crc_at + 4]) == crc32(names_bytes);
-            if names_crc_ok {
-                if let Ok(map) = parse_names_v3(names_bytes) {
+            if check_crc(bytes, "name table", meta.names.clone(), meta.names_crc_at).is_ok() {
+                if let Ok(map) = parse_names_v3(&bytes[meta.names.clone()]) {
                     names = map;
                     report.names_ok = true;
-                    report.salvaged_bytes += meta.names_len;
+                    report.salvaged_bytes += meta.names.len();
                 }
             }
-            if let Ok(found) = parse_footer_v3(bytes, meta.data_start) {
-                footer_table = Some(found);
-            }
+            footer_table = parse_footer_v3(bytes, bytes.len(), meta.data_start).ok();
         }
     }
 
@@ -1860,7 +1775,12 @@ fn recover_v3(bytes: &[u8], threads: usize) -> Result<(TwppArchive, RecoveryRepo
                 if e.is_sentinel() {
                     (RegionStatus::FailedAtCompaction, None)
                 } else {
-                    check_frame(bytes, data_start, footer_start, e)
+                    let span = span_at(data_start, e.offset, FRAME_HEADER_LEN + e.byte_len as usize)
+                        .filter(|s| s.end <= footer_start);
+                    match span {
+                        Some(s) => salvage_frame(&bytes[s], e),
+                        None => (RegionStatus::Truncated, None),
+                    }
                 }
             });
             let mut records = Vec::new();
@@ -1904,7 +1824,9 @@ fn recover_v3(bytes: &[u8], threads: usize) -> Result<(TwppArchive, RecoveryRepo
 }
 
 fn recover_v2(bytes: &[u8], threads: usize) -> Result<(TwppArchive, RecoveryReport), ArchiveError> {
-    let (table, names_vec, dcg_comp_len, data_start) = parse_header_v2(bytes)?;
+    let meta = parse_meta(bytes.get(..FIXED_HEADER_LEN).ok_or(ArchiveError::Truncated)?, bytes.len())?;
+    let (table, names) = parse_table_v2(bytes, &meta)?;
+    let data_start = meta.data_start;
     let mut report = RecoveryReport {
         version: VERSION_V2,
         total_bytes: bytes.len(),
@@ -1917,32 +1839,20 @@ fn recover_v2(bytes: &[u8], threads: usize) -> Result<(TwppArchive, RecoveryRepo
         functions: Vec::new(),
     };
     // v2 has no checksums: salvage by decoding.
-    let dcg_start = FIXED_HEADER_LEN + table.len() * TABLE_ENTRY_WORDS * 4;
     let mut dcg = Dcg::empty();
-    if dcg_start + dcg_comp_len <= bytes.len() {
-        if let Ok(d) = decode_dcg(&bytes[dcg_start..dcg_start + dcg_comp_len]) {
-            dcg = d;
-            report.dcg_ok = true;
-            report.salvaged_bytes += dcg_comp_len;
-        }
+    if let Ok(d) = decode_dcg(&bytes[meta.dcg.clone()]) {
+        dcg = d;
+        report.dcg_ok = true;
+        report.salvaged_bytes += meta.dcg.len();
     }
-    let names: HashMap<FuncId, String> = table
-        .iter()
-        .zip(&names_vec)
-        .filter_map(|(e, n)| n.clone().map(|n| (e.func, n)))
-        .collect();
     // v2 regions are independent: decode them in parallel, then fold the
     // verdicts in table order.
     let decoded = crate::par::map_indexed(&table, threads, |_, e| {
-        let start = data_start + e.offset as usize;
-        let end = start.saturating_add(e.byte_len as usize);
-        if end > bytes.len() {
-            (RegionStatus::Truncated, None)
-        } else {
-            match decode_region(*e, &bytes[start..end]) {
-                Ok(r) => (RegionStatus::Ok, Some(r)),
-                Err(err) => (RegionStatus::Undecodable(err.to_string()), None),
-            }
+        let region = span_at(data_start, e.offset, e.byte_len as usize).and_then(|s| bytes.get(s));
+        match region.map(|r| decode_region(*e, r)) {
+            None => (RegionStatus::Truncated, None),
+            Some(Ok(r)) => (RegionStatus::Ok, Some(r)),
+            Some(Err(err)) => (RegionStatus::Undecodable(err.to_string()), None),
         }
     });
     let mut records = Vec::new();
@@ -1989,7 +1899,7 @@ fn encode_region(fb: &FunctionBlock, codec: Codec) -> Result<Vec<u32>, ArchiveEr
     Ok(words)
 }
 
-pub(crate) fn decode_region(e: TableEntry, region: &[u8]) -> Result<FunctionRecord, ArchiveError> {
+fn decode_region(e: TableEntry, region: &[u8]) -> Result<FunctionRecord, ArchiveError> {
     if !region.len().is_multiple_of(4) {
         return Err(ArchiveError::Corrupt("region length"));
     }
@@ -2319,7 +2229,7 @@ mod tests {
         let a = TwppArchive::from_compacted(&c);
         let mut bytes = a.as_bytes().to_vec();
         // Flip one payload bit of the first (hottest) function's frame.
-        let flip_at = a.data_start + FRAME_HEADER_LEN + 2;
+        let flip_at = a.index.data_start + FRAME_HEADER_LEN + 2;
         bytes[flip_at] ^= 0x10;
         // The strict parser still accepts the container (payload CRCs are
         // lazy) but reading the damaged function reports the mismatch...

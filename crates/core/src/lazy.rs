@@ -1,44 +1,40 @@
-//! Lazy archive opens: O(footer) instead of O(all frames).
+//! Lazy archive opens: O(metadata + footer) instead of O(all frames).
 //!
-//! [`TwppArchive::from_bytes`] holds the whole archive in memory and
-//! every decoded frame is paid for up front by whoever loads the file.
-//! A [`LazyArchive`] instead keeps only the *metadata* resident — header,
-//! compressed DCG, name table and commit footer, all of whose CRCs are
-//! verified eagerly at open — and leaves function frames on disk. A frame
-//! is read, CRC-checked and decoded the first time its function is
-//! queried, then cached behind an [`Arc`], so a process holding a fleet
-//! of archives open pays per *query*, not per archive.
+//! A [`LazyArchive`] keeps only the archive's *index* resident — the
+//! function table, the name table and the compressed DCG — and leaves
+//! function frames on disk. A frame is read, CRC-checked and decoded the
+//! first time its function is queried, then cached behind an [`Arc`], so
+//! a process holding a fleet of archives open pays per *query*, not per
+//! archive.
 //!
-//! Trust boundary: everything validated at [`LazyArchive::open`] time
-//! (header CRC, DCG CRC, name-table CRC, commit marker, footer CRC and
-//! the footer/data-length cross-check) can be relied on afterwards;
-//! per-frame magic, CRC and structural decoding are deferred to first
-//! access, so a corrupt frame only surfaces when *that function* is
-//! read — every other function keeps working.
+//! Trust boundary: the lazy open parses the same index, with the same
+//! code, as [`TwppArchive::from_bytes`] and
+//! [`TwppArchive::read_function_from_file`]; the only difference is the
+//! byte source (an open file read by seek instead of bytes in memory).
+//! Everything that parse validates — for v3 the header, DCG and
+//! name-table CRCs, the commit marker, the footer CRC and the
+//! footer/data-length cross-check; for v2 and v3 the function-count cap
+//! and every frame's bounds — can be relied on afterwards. Per-frame
+//! magic, CRC and structural decoding are deferred to first access, so a
+//! corrupt frame only surfaces when *that function* is read — every
+//! other function keeps working. Legacy v2 archives open too.
 
 #![deny(clippy::unwrap_used)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
-use twpp_ir::checksum::{crc32, Crc32};
 use twpp_ir::FuncId;
 
-use crate::archive::{
-    check_func_count, decode_dcg, decode_region, footer_entry, parse_meta_v3, parse_names_v3,
-    read_u32, verify_meta_crcs, ArchiveError, FunctionRecord, MetaV3, TableEntry, TwppArchive,
-    COMMIT_MAGIC, FIXED_HEADER_LEN, FOOTER_ENTRY_BYTES, FOOTER_FIXED_LEN, FOOTER_MAGIC,
-    FRAME_HEADER_LEN, FRAME_MAGIC, MAGIC, VERSION, VERSION_V2,
-};
+use crate::archive::{lock_unpoisoned, ArchiveError, FunctionRecord, Index, TwppArchive};
 use crate::cache::{next_archive_uid, FrameCache, DEFAULT_FRAME_CACHE_BYTES};
 use crate::dcg::Dcg;
 use crate::gov::Budget;
 use crate::obs::Obs;
 
-/// A v3 archive opened lazily: metadata verified and resident, function
+/// An archive opened lazily: index verified and resident, function
 /// frames decoded on first access and cached.
 ///
 /// Obtained from [`TwppArchive::open_lazy`] (or
@@ -47,15 +43,7 @@ use crate::obs::Obs;
 /// multiple threads behind an `Arc`.
 pub struct LazyArchive {
     file: Mutex<File>,
-    /// Live (non-sentinel) footer entries in frame order.
-    table: Vec<TableEntry>,
-    index: HashMap<FuncId, usize>,
-    names: HashMap<FuncId, String>,
-    /// Degraded-function sentinels: `(func, call_count)`.
-    failed: Vec<(FuncId, u32)>,
-    /// The verified metadata prefix (`[0, data_start)` of the file).
-    meta_bytes: Vec<u8>,
-    meta: MetaV3,
+    index: Index,
     /// Decoded frames live in a byte-capped LRU — possibly shared with a
     /// whole fleet of archives — keyed by this archive's process-unique
     /// `uid`, so a huge archive can be scanned end to end without every
@@ -68,26 +56,19 @@ pub struct LazyArchive {
     obs: Obs,
 }
 
-/// Recovers the guarded value even if another thread panicked while
-/// holding the lock: the caches here are read-mostly maps whose worst
-/// failure mode after a poisoning panic is a redundant decode.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl LazyArchive {
-    /// Opens `path` lazily, validating every metadata CRC (header, DCG,
-    /// name table, footer) and the commit marker eagerly — but decoding
-    /// no function frame. Cost is O(metadata + footer) regardless of how
-    /// many frames the archive holds.
+    /// Opens `path` lazily, validating the index exactly as
+    /// [`TwppArchive::load`] does — every metadata CRC (header, DCG, name
+    /// table, footer), the commit marker and every frame's bounds — but
+    /// reading no function frame. Cost is O(metadata + footer) regardless
+    /// of how many frames the archive holds. Legacy v2 archives open too.
     ///
     /// # Errors
     ///
-    /// Anything [`TwppArchive::load`] would report about the metadata:
-    /// [`ArchiveError::NotCommitted`] for interrupted writes,
-    /// checksum mismatches, truncation, or [`ArchiveError::BadVersion`]
-    /// for v2 archives (whose table lives in the header — load those
-    /// eagerly).
+    /// Anything [`TwppArchive::load`] would report about the index:
+    /// [`ArchiveError::NotCommitted`] for interrupted writes, checksum
+    /// mismatches, truncation, or [`ArchiveError::BadVersion`] for
+    /// versions other than 2 and 3.
     pub fn open(path: &Path) -> Result<LazyArchive, ArchiveError> {
         LazyArchive::open_observed(path, Obs::noop())
     }
@@ -118,116 +99,11 @@ impl LazyArchive {
         cache: Arc<FrameCache>,
         obs: Obs,
     ) -> Result<LazyArchive, ArchiveError> {
-        let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-
-        // Fixed header: magic, version, region lengths, header CRC.
-        if file_len < FIXED_HEADER_LEN as u64 {
-            return Err(ArchiveError::Truncated);
-        }
-        let mut fixed = [0u8; FIXED_HEADER_LEN];
-        file.read_exact(&mut fixed)?;
-        if fixed[0..4] != MAGIC {
-            return Err(ArchiveError::BadMagic);
-        }
-        match read_u32(&fixed[4..8]) {
-            VERSION => {}
-            v @ VERSION_V2 => return Err(ArchiveError::BadVersion(v)),
-            v => return Err(ArchiveError::BadVersion(v)),
-        }
-
-        // Metadata prefix (header + compressed DCG + name table): read it
-        // whole and verify its three CRCs with the shared eager-path
-        // helpers.
-        let dcg_comp_len = read_u32(&fixed[8..12]) as usize;
-        let names_len = read_u32(&fixed[12..16]) as usize;
-        let data_start_est = FIXED_HEADER_LEN
-            .checked_add(dcg_comp_len.div_ceil(4).checked_mul(4).ok_or(ArchiveError::Truncated)?)
-            .and_then(|x| x.checked_add(4))
-            .and_then(|x| x.checked_add(names_len))
-            .and_then(|x| x.checked_add(4))
-            .ok_or(ArchiveError::Truncated)?;
-        if (data_start_est as u64) > file_len {
-            return Err(ArchiveError::Truncated);
-        }
-        let mut meta_bytes = vec![0u8; data_start_est];
-        meta_bytes[..FIXED_HEADER_LEN].copy_from_slice(&fixed);
-        file.read_exact(&mut meta_bytes[FIXED_HEADER_LEN..])?;
-        let meta = parse_meta_v3(&meta_bytes)?;
-        debug_assert_eq!(meta.data_start, data_start_est);
-        verify_meta_crcs(&meta_bytes, &meta)?;
-        let names = parse_names_v3(&meta_bytes[meta.names_start..meta.names_start + meta.names_len])?;
-
-        // Commit footer: marker, count, CRC, and the data-length
-        // cross-check against the header-derived data start.
-        if file_len < (meta.data_start + FOOTER_FIXED_LEN) as u64 {
-            return Err(ArchiveError::Truncated);
-        }
-        let mut tail = [0u8; 16];
-        file.seek(SeekFrom::End(-16))?;
-        file.read_exact(&mut tail)?;
-        if tail[12..16] != COMMIT_MAGIC {
-            return Err(ArchiveError::NotCommitted);
-        }
-        let n_funcs = read_u32(&tail[0..4]) as usize;
-        let data_len = read_u32(&tail[4..8]) as usize;
-        check_func_count(n_funcs)?;
-        let footer_len = 4 + n_funcs * FOOTER_ENTRY_BYTES + 16;
-        if (footer_len as u64) > file_len - meta.data_start as u64 {
-            return Err(ArchiveError::Truncated);
-        }
-        let footer_start = file_len - footer_len as u64;
-        file.seek(SeekFrom::Start(footer_start))?;
-        let mut footer = vec![0u8; footer_len];
-        file.read_exact(&mut footer)?;
-        if footer[0..4] != FOOTER_MAGIC {
-            return Err(ArchiveError::Corrupt("footer magic"));
-        }
-        let stored = read_u32(&footer[footer_len - 8..footer_len - 4]);
-        let actual = crc32(&footer[..footer_len - 8]);
-        if stored != actual {
-            return Err(ArchiveError::ChecksumMismatch {
-                region: "footer",
-                expected: stored,
-                actual,
-            });
-        }
-        if footer_start - meta.data_start as u64 != data_len as u64 {
-            return Err(ArchiveError::Corrupt("footer data length"));
-        }
-
-        // Split sentinels from live entries and bounds-check every frame
-        // against the data section, mirroring the eager parser.
-        let mut table = Vec::with_capacity(n_funcs);
-        let mut failed = Vec::new();
-        for chunk in footer[4..4 + n_funcs * FOOTER_ENTRY_BYTES].chunks_exact(FOOTER_ENTRY_BYTES) {
-            let e = footer_entry(chunk);
-            if e.is_sentinel() {
-                failed.push((e.func, e.call_count));
-            } else {
-                table.push(e);
-            }
-        }
-        for e in &table {
-            let end = (meta.data_start as u64)
-                .checked_add(u64::from(e.offset))
-                .and_then(|x| x.checked_add(FRAME_HEADER_LEN as u64))
-                .and_then(|x| x.checked_add(u64::from(e.byte_len)))
-                .ok_or(ArchiveError::Truncated)?;
-            if end > footer_start {
-                return Err(ArchiveError::Truncated);
-            }
-        }
-        let index = table.iter().enumerate().map(|(i, e)| (e.func, i)).collect();
-
+        let file = Mutex::new(File::open(path)?);
+        let index = Index::parse(&file)?;
         Ok(LazyArchive {
-            file: Mutex::new(file),
-            table,
+            file,
             index,
-            names,
-            failed,
-            meta_bytes,
-            meta,
             frames: cache,
             uid: next_archive_uid(),
             decoded: Mutex::new(HashSet::new()),
@@ -249,42 +125,40 @@ impl LazyArchive {
     /// Function ids present in the archive, most-called first (frame
     /// order), excluding degraded sentinels.
     pub fn function_ids(&self) -> Vec<FuncId> {
-        self.table.iter().map(|e| e.func).collect()
+        self.index.function_ids()
     }
 
     /// Number of live (non-degraded) functions.
     pub fn function_count(&self) -> usize {
-        self.table.len()
+        self.index.function_count()
     }
 
     /// The recorded call count of `func`, if present.
     pub fn call_count(&self, func: FuncId) -> Option<u64> {
-        self.index
-            .get(&func)
-            .map(|&i| u64::from(self.table[i].call_count))
+        self.index.call_count(func)
     }
 
-    /// The embedded name of `func`, if the archive carries one.
+    /// The embedded name of `func` (live or degraded), if the archive
+    /// carries one.
     pub fn function_name(&self, func: FuncId) -> Option<&str> {
-        self.names.get(&func).map(String::as_str)
+        self.index.function_name(func)
     }
 
-    /// Looks up a function id by embedded name.
+    /// Looks up a function id by embedded name, in footer order. Degraded
+    /// functions resolve too; reading one reports
+    /// [`ArchiveError::DegradedFunction`].
     pub fn function_by_name(&self, name: &str) -> Option<FuncId> {
-        self.names
-            .iter()
-            .find(|(_, n)| n.as_str() == name)
-            .map(|(f, _)| *f)
+        self.index.function_by_name(name)
     }
 
     /// Functions recorded as failed during a degraded compaction run.
     pub fn failed_functions(&self) -> &[(FuncId, u32)] {
-        &self.failed
+        self.index.failed_functions()
     }
 
     /// Whether the archive was produced by a degraded run.
     pub fn is_degraded(&self) -> bool {
-        !self.failed.is_empty()
+        self.index.is_degraded()
     }
 
     /// Number of distinct functions decoded at least once (later cache
@@ -294,13 +168,13 @@ impl LazyArchive {
     }
 
     /// Decompresses and decodes the dynamic call graph from the resident
-    /// (already CRC-verified) metadata.
+    /// (already verified) index.
     ///
     /// # Errors
     ///
     /// Returns a decoding error for corrupt archives.
     pub fn read_dcg(&self) -> Result<Dcg, ArchiveError> {
-        decode_dcg(&self.meta_bytes[FIXED_HEADER_LEN..FIXED_HEADER_LEN + self.meta.dcg_comp_len])
+        self.index.read_dcg()
     }
 
     /// Reads one function, decoding its frame from disk on first access
@@ -340,41 +214,14 @@ impl LazyArchive {
         if let Some(rec) = self.frames.get(self.uid, func) {
             return Ok(rec);
         }
-        let Some(&i) = self.index.get(&func) else {
-            if self.failed.iter().any(|&(f, _)| f == func) {
-                return Err(ArchiveError::DegradedFunction(func));
-            }
-            return Err(ArchiveError::UnknownFunction(func));
-        };
-        let e = self.table[i];
-        let frame_start = self.meta.data_start as u64 + u64::from(e.offset);
-        let frame_len = FRAME_HEADER_LEN + e.byte_len as usize;
+        let e = self.index.entry(func)?;
+        let frame_len = self.index.frame_len(&e) as u64;
         if let Some(budget) = budget {
             budget
-                .charge_bytes(frame_len as u64)
+                .charge_bytes(frame_len)
                 .map_err(ArchiveError::Stopped)?;
         }
-        let mut frame = vec![0u8; frame_len];
-        {
-            let mut f = lock_unpoisoned(&self.file);
-            f.seek(SeekFrom::Start(frame_start))?;
-            f.read_exact(&mut frame)?;
-        }
-        if frame[0..4] != FRAME_MAGIC {
-            return Err(ArchiveError::Corrupt("frame magic"));
-        }
-        let mut h = Crc32::new();
-        h.update(&frame[4..24]);
-        h.update(&frame[FRAME_HEADER_LEN..]);
-        let actual = h.finalize();
-        if actual != e.crc {
-            return Err(ArchiveError::ChecksumMismatch {
-                region: "function region",
-                expected: e.crc,
-                actual,
-            });
-        }
-        let rec = Arc::new(decode_region(e, &frame[FRAME_HEADER_LEN..])?);
+        let rec = Arc::new(self.index.read_frame(&self.file, e)?);
         let first_decode = lock_unpoisoned(&self.decoded).insert(func);
         if first_decode && self.obs.is_enabled() {
             self.obs
@@ -384,24 +231,22 @@ impl LazyArchive {
                 )
                 .inc();
         }
-        Ok(self
-            .frames
-            .insert_or_get(self.uid, func, rec, frame_len as u64))
+        Ok(self.frames.insert_or_get(self.uid, func, rec, frame_len))
     }
 }
 
 impl std::fmt::Debug for LazyArchive {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LazyArchive")
-            .field("functions", &self.table.len())
-            .field("failed", &self.failed.len())
+            .field("functions", &self.index.function_count())
+            .field("failed", &self.index.failed_functions().len())
             .field("decoded", &self.decoded_count())
             .finish_non_exhaustive()
     }
 }
 
 impl TwppArchive {
-    /// Opens `path` as a [`LazyArchive`]: metadata CRCs verified eagerly,
+    /// Opens `path` as a [`LazyArchive`]: index verified eagerly,
     /// function frames decoded on first access. See the
     /// [module docs](crate::lazy) for the exact trust boundary.
     ///

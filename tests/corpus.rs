@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 
 use twpp_repro::twpp::archive::encode_v2_named;
 use twpp_repro::twpp::{
-    compact, compact_governed, Budget, Compactor, Durability, FaultPlan, GovOptions,
-    IngestOptions, Obs, TwppArchive,
+    compact, compact_governed, ArchiveError, Budget, Compactor, Durability, FaultPlan,
+    GovOptions, IngestOptions, LazyArchive, Obs, TwppArchive,
 };
 use twpp_repro::twpp_ir::FuncId;
 use twpp_repro::twpp_lang;
@@ -252,6 +252,89 @@ fn degraded_v3_corpus_reports_degradation_not_damage() {
     let g = archive.function_by_name("g").expect("g survives");
     let record = archive.read_function(g).expect("g readable");
     assert_eq!(record.call_count, 6);
+}
+
+/// The eager reader (bytes in memory) and the lazy reader (the file,
+/// read by seek) parse one index: they accept the same corpus files —
+/// legacy v2 and degraded v3 included — and read the same records, DCG
+/// and names from them.
+#[test]
+fn eager_and_lazy_readers_agree_on_every_corpus_file() {
+    for name in ["small-v3.twpa", "small-v2.twpa", "degraded-v3.twpa", "truncated-v3.twpa"] {
+        let eager = TwppArchive::from_bytes(read_corpus_file(name));
+        let lazy = LazyArchive::open(&corpus_dir().join(name));
+        let (eager, lazy) = match (eager, lazy) {
+            (Ok(eager), Ok(lazy)) => (eager, lazy),
+            (Err(e), Err(l)) => {
+                assert_eq!(name, "truncated-v3.twpa", "{name} refused: {e}");
+                assert_eq!(e.to_string(), l.to_string(), "{name}");
+                continue;
+            }
+            (e, l) => panic!("{name}: eager {:?}, lazy {:?}", e.err(), l.err()),
+        };
+        assert_eq!(lazy.function_ids(), eager.function_ids(), "{name}");
+        assert_eq!(lazy.failed_functions(), eager.failed_functions(), "{name}");
+        assert_eq!(
+            lazy.read_dcg().expect("lazy DCG").to_words(),
+            eager.read_dcg().expect("eager DCG").to_words(),
+            "{name}"
+        );
+        let listed: Vec<FuncId> = eager
+            .function_ids()
+            .into_iter()
+            .chain(eager.failed_functions().iter().map(|&(f, _)| f))
+            .collect();
+        for func in listed {
+            let func_name = eager.function_name(func).expect("corpus functions are named");
+            assert_eq!(lazy.function_name(func), Some(func_name), "{name}: {func}");
+            assert_eq!(eager.function_by_name(func_name), Some(func), "{name}: {func_name}");
+            assert_eq!(lazy.function_by_name(func_name), Some(func), "{name}: {func_name}");
+            match (eager.read_function(func), lazy.read_function(func)) {
+                (Ok(e), Ok(l)) => assert_eq!(*l, e, "{name}: {func}"),
+                (Err(e), Err(l)) => assert_eq!(e.to_string(), l.to_string(), "{name}: {func}"),
+                (e, l) => panic!("{name}: {func}: eager {e:?}, lazy {l:?}"),
+            }
+        }
+    }
+    // The degraded function resolves by name and reads as degraded.
+    let lazy = LazyArchive::open(&corpus_dir().join("degraded-v3.twpa")).expect("opens");
+    let f = lazy.function_by_name("f").expect("degraded f keeps its name");
+    assert!(matches!(lazy.read_function(f), Err(ArchiveError::DegradedFunction(id)) if id == f));
+}
+
+/// The served analyses read a v2 archive through the same lazy open as a
+/// v3 one and answer identically.
+#[test]
+fn served_slice_and_currency_answers_match_across_v2_and_v3() {
+    let v2 = LazyArchive::open(&corpus_dir().join("small-v2.twpa")).expect("v2 opens lazily");
+    let v3 = LazyArchive::open(&corpus_dir().join("small-v3.twpa")).expect("v3 opens lazily");
+    assert_eq!(v2.function_ids(), v3.function_ids());
+    let budget = Budget::unlimited();
+    let mut answered = 0;
+    for func in v3.function_ids() {
+        let r2 = v2.read_function(func).expect("v2 record");
+        let r3 = v3.read_function(func).expect("v3 record");
+        for (t, path) in r3.try_expanded_traces().expect("traces expand").iter().enumerate() {
+            let t = t as u32;
+            let mut blocks: Vec<u32> = path.iter().map(|b| b.as_u32()).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            for &b in &blocks {
+                let slice = twpp_server::slice_answer(func, &r3, t, b, &budget);
+                assert_eq!(twpp_server::slice_answer(func, &r2, t, b, &budget), slice);
+                answered += usize::from(slice.is_ok());
+                for &u in &blocks {
+                    let currency = twpp_server::currency_answer(func, &r3, t, b, u, &[], &budget);
+                    assert_eq!(
+                        twpp_server::currency_answer(func, &r2, t, b, u, &[], &budget),
+                        currency
+                    );
+                    answered += usize::from(currency.is_ok());
+                }
+            }
+        }
+    }
+    assert!(answered > 0, "no slice or currency request was answerable");
 }
 
 #[test]

@@ -7,10 +7,16 @@
 //! checks the contract: decoding either fails with a typed error or
 //! `TwppArchive::recover` salvages every untouched function. Nothing ever
 //! panics.
+//!
+//! The three strict readers — `TwppArchive::from_bytes`, `LazyArchive`
+//! over a file, and `TwppArchive::read_function_from_file` — share one
+//! trust boundary: each damaged image must be refused by all three, or
+//! opened by all three with the same functions failing.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 
-use twpp_repro::twpp::{compact, FunctionRecord, TwppArchive};
+use twpp_repro::twpp::{compact, FunctionRecord, LazyArchive, TwppArchive};
 use twpp_repro::twpp_ir::{BlockId, FuncId};
 use twpp_repro::twpp_tracer::{RawWpp, WppEvent};
 
@@ -68,6 +74,61 @@ fn frame_spans(bytes: &[u8]) -> Vec<(FuncId, usize, usize)> {
     spans
 }
 
+/// Writes `bytes` to a temp file unique to `tag` (tests run in parallel).
+fn temp_archive(tag: &str, bytes: &[u8]) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("twpp-fault-{tag}-{}.twpa", std::process::id()));
+    std::fs::write(&path, bytes).expect("write temp archive");
+    path
+}
+
+/// Asserts that every strict reader refuses `bytes` at open.
+fn assert_all_readers_refuse(tag: &str, bytes: &[u8], funcs: &[FuncId], what: &str) {
+    assert!(
+        TwppArchive::from_bytes(bytes.to_vec()).is_err(),
+        "from_bytes accepted {what}"
+    );
+    let path = temp_archive(tag, bytes);
+    assert!(LazyArchive::open(&path).is_err(), "lazy open accepted {what}");
+    for &func in funcs {
+        assert!(
+            TwppArchive::read_function_from_file(&path, func).is_err(),
+            "read_function_from_file accepted {what} for {func:?}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Asserts that every strict reader opens `bytes`, that `victim` fails to
+/// read, and that every other function reads as in `reference`.
+fn assert_only_victim_fails(
+    tag: &str,
+    bytes: &[u8],
+    reference: &HashMap<FuncId, FunctionRecord>,
+    victim: FuncId,
+    what: &str,
+) {
+    let eager = TwppArchive::from_bytes(bytes.to_vec())
+        .unwrap_or_else(|e| panic!("from_bytes refused {what}: {e}"));
+    let path = temp_archive(tag, bytes);
+    let lazy = LazyArchive::open(&path).unwrap_or_else(|e| panic!("lazy open refused {what}: {e}"));
+    for (&func, expected) in reference {
+        let reads = [
+            ("from_bytes", eager.read_function(func)),
+            ("lazy", lazy.read_function(func).map(|r| (*r).clone())),
+            ("from_file", TwppArchive::read_function_from_file(&path, func)),
+        ];
+        for (reader, got) in reads {
+            if func == victim {
+                assert!(got.is_err(), "{reader}: {what}: victim {func:?} read clean");
+            } else {
+                let got = got.unwrap_or_else(|e| panic!("{reader}: {what}: {func:?} lost: {e}"));
+                assert_eq!(&got, expected, "{reader}: {what}: {func:?} drifted");
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn truncation_at_every_region_boundary_is_survivable() {
     let archive = build_archive();
@@ -91,14 +152,13 @@ fn truncation_at_every_region_boundary_is_survivable() {
     cuts.sort_unstable();
     cuts.dedup();
 
+    let funcs: Vec<FuncId> = reference.keys().copied().collect();
     for cut in cuts {
         let truncated = &bytes[..cut];
         // Strict decoding must reject every truncation: the commit footer
         // is gone, so the write never "happened".
-        assert!(
-            TwppArchive::from_bytes(truncated.to_vec()).is_err(),
-            "from_bytes accepted a truncation at byte {cut}"
-        );
+        let what = format!("a truncation at byte {cut}");
+        assert_all_readers_refuse("truncation", truncated, &funcs, &what);
         // Salvage must never panic, and every frame that lies wholly
         // before the cut must come back intact.
         let Ok((salvaged, report)) = TwppArchive::recover(truncated) else {
@@ -132,6 +192,8 @@ fn single_bit_flips_in_each_region_are_detected_and_contained() {
         {
             let mut dirty = bytes.clone();
             dirty[pos] ^= 0x10;
+            // Strict readers open the archive; only the victim fails.
+            assert_only_victim_fails("frame-flip", &dirty, &reference, victim, &format!("a flip at {pos}"));
             let (salvaged, report) =
                 TwppArchive::recover(&dirty).expect("flip inside a frame stays recoverable");
             assert!(!report.is_clean(), "flip at {pos} went unnoticed");
@@ -161,6 +223,29 @@ fn single_bit_flips_in_each_region_are_detected_and_contained() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn single_bit_flips_in_each_metadata_region_are_refused_at_open() {
+    let archive = build_archive();
+    let bytes = archive.as_bytes().to_vec();
+    let funcs = archive.function_ids();
+    let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+    // Header | DCG (padded to 4) | DCG CRC | name table | names CRC | ...
+    let dcg_len = word(8);
+    let names_start = 20 + dcg_len.next_multiple_of(4) + 4;
+    assert!(dcg_len >= 2 && word(12) > 0, "fixture needs a DCG and names");
+    let footer_start = bytes.len() - (4 + funcs.len() * FOOTER_ENTRY_BYTES + 16);
+    for (region, pos) in [
+        ("header", 9),
+        ("DCG", 21),
+        ("name table", names_start + 1),
+        ("footer", footer_start + 6),
+    ] {
+        let mut dirty = bytes.clone();
+        dirty[pos] ^= 0x10;
+        assert_all_readers_refuse("meta-flip", &dirty, &funcs, &format!("a {region} flip at {pos}"));
     }
 }
 

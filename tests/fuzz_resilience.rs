@@ -5,9 +5,40 @@
 
 use proptest::prelude::*;
 
-use twpp_repro::twpp::{compact, lzw, Dcg, TimestampedTrace, TsSet, TwppArchive};
+use std::mem::discriminant;
+
+use twpp_repro::twpp::{compact, lzw, Dcg, LazyArchive, TimestampedTrace, TsSet, TwppArchive};
 use twpp_repro::twpp_sequitur;
 use twpp_repro::twpp_tracer::RawWpp;
+
+/// The lazy reader over a file holding `bytes` never panics and agrees
+/// with the eager reader over the bytes: both accept or both refuse (with
+/// the same error variant), list the same functions, and read each one
+/// to an equal record or the same error variant.
+fn assert_lazy_agrees_with_eager(tag: &str, bytes: &[u8]) {
+    let path = std::env::temp_dir().join(format!("twpp-fuzz-{tag}-{}.twpa", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    match (
+        TwppArchive::from_bytes(bytes.to_vec()),
+        LazyArchive::open(&path),
+    ) {
+        (Ok(eager), Ok(lazy)) => {
+            assert_eq!(lazy.function_ids(), eager.function_ids());
+            for func in eager.function_ids() {
+                match (eager.read_function(func), lazy.read_function(func)) {
+                    (Ok(e), Ok(l)) => assert_eq!(*l, e),
+                    (Err(e), Err(l)) => {
+                        assert_eq!(discriminant(&e), discriminant(&l), "{e} vs {l}")
+                    }
+                    (e, l) => panic!("{func:?}: eager {e:?}, lazy {l:?}"),
+                }
+            }
+        }
+        (Err(e), Err(l)) => assert_eq!(discriminant(&e), discriminant(&l), "{e} vs {l}"),
+        (e, l) => panic!("eager {:?}, lazy {:?}", e.err(), l.err()),
+    }
+    std::fs::remove_file(&path).ok();
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -64,7 +95,8 @@ proptest! {
             bytes[pos % len] ^= val;
         }
         // Either parses (and then every function read must also not
-        // panic) or errors out.
+        // panic) or errors out, in the lazy reader exactly as in the eager one.
+        assert_lazy_agrees_with_eager("v3", &bytes);
         if let Ok(parsed) = TwppArchive::from_bytes(bytes) {
             for func in parsed.function_ids() {
                 let _ = parsed.read_function(func);
@@ -127,6 +159,7 @@ proptest! {
             let len = bytes.len();
             bytes[pos % len] ^= val;
         }
+        assert_lazy_agrees_with_eager("v2", &bytes);
         if let Ok(parsed) = TwppArchive::from_bytes(bytes.clone()) {
             for func in parsed.function_ids() {
                 let _ = parsed.read_function(func);
