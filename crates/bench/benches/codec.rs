@@ -15,8 +15,8 @@ use twpp_workloads::{generate, Profile};
 
 fn bench(c: &mut Criterion) {
     let workload = generate(&Profile::Gcc.spec().scaled(0.02));
-    let (compacted, _) =
-        twpp::pipeline::compact_with_stats(&workload.wpp).expect("generated WPPs are well-formed");
+    let (compacted, _) = twpp::compact_governed(&workload.wpp, &twpp::GovOptions::default())
+        .expect("generated WPPs are well-formed");
     let names = HashMap::new();
     let noop = Obs::noop();
 

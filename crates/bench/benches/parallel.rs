@@ -9,9 +9,8 @@
 use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use twpp::{
-    compact_with_stats_threads, default_threads, CompactOptions, TwppArchive,
-};
+use twpp::obs::Obs;
+use twpp::{compact_governed, default_threads, Codec, GovOptions, TwppArchive};
 use twpp_workloads::{generate, Profile};
 
 fn thread_counts() -> Vec<usize> {
@@ -24,13 +23,21 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
+fn on_threads(threads: usize) -> GovOptions {
+    GovOptions {
+        threads: Some(threads),
+        ..GovOptions::default()
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let workload = generate(&Profile::Gcc.spec().scaled(0.05));
     let wpp = &workload.wpp;
-    let (compacted, _) =
-        compact_with_stats_threads(wpp, CompactOptions::with_threads(1)).unwrap();
+    let (compacted, _) = compact_governed(wpp, &on_threads(1)).unwrap();
     let names = HashMap::new();
-    let committed = TwppArchive::from_compacted_named_with_threads(&compacted, &names, 1);
+    let noop = Obs::noop();
+    let committed =
+        TwppArchive::from_compacted_codec(&compacted, &names, 1, &[], &noop, Codec::Legacy);
     // A torn write forces fsck onto the frame-scan path.
     let torn = &committed.as_bytes()[..committed.byte_len() - 64];
 
@@ -39,9 +46,9 @@ fn bench(c: &mut Criterion) {
 
     for threads in thread_counts() {
         group.bench_function(&format!("compact_t{threads}"), |b| {
-            let options = CompactOptions::with_threads(threads);
+            let options = on_threads(threads);
             b.iter(|| {
-                compact_with_stats_threads(std::hint::black_box(wpp), options)
+                compact_governed(std::hint::black_box(wpp), &options)
                     .unwrap()
                     .0
                     .functions
@@ -50,19 +57,23 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("archive_encode_t{threads}"), |b| {
             b.iter(|| {
-                TwppArchive::from_compacted_named_with_threads(
+                TwppArchive::from_compacted_codec(
                     std::hint::black_box(&compacted),
                     &names,
                     threads,
+                    &[],
+                    &noop,
+                    Codec::Legacy,
                 )
                 .byte_len()
             })
         });
         group.bench_function(&format!("recover_clean_t{threads}"), |b| {
             b.iter(|| {
-                TwppArchive::recover_with_threads(
+                TwppArchive::recover_observed(
                     std::hint::black_box(committed.as_bytes()),
                     threads,
+                    &noop,
                 )
                 .unwrap()
                 .1
@@ -71,7 +82,7 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function(&format!("recover_torn_t{threads}"), |b| {
             b.iter(|| {
-                TwppArchive::recover_with_threads(std::hint::black_box(torn), threads)
+                TwppArchive::recover_observed(std::hint::black_box(torn), threads, &noop)
                     .unwrap()
                     .1
                     .salvaged_functions()

@@ -8,9 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use twpp::pipeline::{
-    compact_with_stats, compact_with_stats_threads, CompactOptions, CompactedTwpp, PipelineStats,
-};
+use twpp::pipeline::{compact_governed, CompactedTwpp, GovOptions, PipelineStats};
 use twpp::TwppArchive;
 use twpp_dataflow::dyncfg::DynCfg;
 use twpp_ir::cfg::FlowgraphSize;
@@ -47,8 +45,8 @@ impl Suite {
             .map(|profile| {
                 let spec = profile.spec().scaled(scale);
                 let workload = generate(&spec);
-                let (compacted, stats) =
-                    compact_with_stats(&workload.wpp).expect("generated WPPs are well-formed");
+                let (compacted, stats) = compact_governed(&workload.wpp, &GovOptions::default())
+                    .expect("generated WPPs are well-formed");
                 BenchCase {
                     profile,
                     workload,
@@ -419,14 +417,17 @@ pub fn parallel_scaling(scale: f64) -> String {
     let mut baseline: Option<(Duration, CompactedTwpp)> = None;
     let mut out = String::from("Parallel compaction scaling (126.gcc workload)\n");
     for &threads in &counts {
-        let options = CompactOptions::with_threads(threads);
+        let options = GovOptions {
+            threads: Some(threads),
+            ..GovOptions::default()
+        };
         // Median-of-3 to damp scheduler noise.
         let mut best: Option<(Duration, CompactedTwpp, PipelineStats)> = None;
         let mut samples = Vec::new();
         for _ in 0..3 {
             let start = Instant::now();
             let (compacted, stats) =
-                compact_with_stats_threads(wpp, options).expect("generated WPPs are well-formed");
+                compact_governed(wpp, &options).expect("generated WPPs are well-formed");
             let wall = start.elapsed();
             samples.push(wall);
             if best.as_ref().is_none_or(|(b, _, _)| wall < *b) {
@@ -919,8 +920,8 @@ pub fn codec_compare(scale: f64) -> CodecCompare {
         let spec = profile.spec().scaled(scale);
         let workload = generate(&spec);
         let events = workload.wpp.events().len() as u64;
-        let (compacted, _) =
-            compact_with_stats(&workload.wpp).expect("generated WPPs are well-formed");
+        let (compacted, _) = compact_governed(&workload.wpp, &GovOptions::default())
+            .expect("generated WPPs are well-formed");
 
         // (bytes, median decode wall) per codec, same decode verified.
         let mut measured: Vec<(usize, Duration)> = Vec::new();

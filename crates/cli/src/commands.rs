@@ -45,11 +45,14 @@
 //! to the `compact` report.
 //!
 //! The observability flags (`--trace-out`, `--metrics-out`, `--report`)
-//! switch `compact`/`query`/`fsck` from the no-op observer to a
-//! collecting one and write Chrome trace-event spans, Prometheus
-//! metrics, and the machine-readable run report (DESIGN.md §13). With
-//! none of them given, the run is byte-identical to an uninstrumented
-//! build.
+//! switch a verb from the no-op observer to a collecting one and write
+//! Chrome trace-event spans, Prometheus metrics, and the machine-readable
+//! run report (DESIGN.md §13). With none of them given, the run is
+//! byte-identical to an uninstrumented build.
+//!
+//! Each verb reads a declared set of flags (`VERB_FLAGS`); any other flag
+//! is a usage error, so a flag meant for another verb is never silently
+//! ignored.
 
 use std::error::Error;
 use std::fmt;
@@ -250,11 +253,13 @@ usage:
                                             to minimal reproducers in the out
                                             dir (defaults: seed 42, 100 cases)
 
-  --threads N caps the worker pool for compact/fsck (default: TWPP_THREADS
-  or the machine's available parallelism); for selftest it sets the largest
-  thread count the byte-identity checks compare against
+threads (compact/ingest/serve-ingest/fsck/gen-fleet/selftest):
+  --threads N       cap the worker pool (default: TWPP_THREADS or the
+                    machine's available parallelism); for selftest, the
+                    largest thread count the byte-identity checks compare
+                    against
 
-codec (compact/ingest):
+codec (compact/ingest/serve-ingest):
   --codec legacy|adaptive
                     timestamp-set encoder for written archives. legacy
                     (default) is byte-identical to older releases;
@@ -262,12 +267,12 @@ codec (compact/ingest):
                     delta-delta encodings per block — never larger than
                     legacy, and every reader decodes both
 
-durability (compact/ingest):
+durability (compact/ingest/serve-ingest):
   --durability none|flush|sync
                     how hard written bytes are pushed toward stable
                     storage before success is reported (compact default:
-                    flush; ingest default: sync — an acknowledged event
-                    survives a power cut)
+                    flush; ingest and serve-ingest default: sync — an
+                    acknowledged event survives a power cut)
 
 retry (ingest/serve-ingest/net-feed):
   --retry-attempts N  total attempts for transient I/O and BUSY rounds
@@ -276,18 +281,23 @@ retry (ingest/serve-ingest/net-feed):
   --retry-cap-ms N    backoff delay cap (default 200)
   --retry-seed N      deterministic jitter seed (default 42)
 
-governance (compact/ingest/query/fsck):
+governance (compact/ingest/serve-ingest/query/slice/currency/serve-bench):
   --deadline-ms N   stop after N milliseconds of wall-clock time
-                    (ingest: backpressure — seal early, keep going)
+                    (ingest: backpressure — seal early, keep going;
+                    serve-bench: sent as each request's budget)
   --max-events N    stop after charging N work steps (events, traces)
-  --degrade         compact only: isolate per-function failures and write
-                    an archive of the surviving functions (exit 3)
-  --fail-fast       compact only: abort on the first failure (default)
+  --degrade         compact/ingest/serve-ingest: isolate per-function
+                    failures and write an archive of the surviving
+                    functions (exit 3)
+  --fail-fast       compact/ingest/serve-ingest: abort on the first
+                    failure (default)
 
-observability (compact/ingest/query/fsck):
+observability (compact/ingest/serve-ingest/fsck/query/slice/currency/serve/selftest):
   --trace-out <f>   write spans as Chrome trace-event JSON
   --metrics-out <f> write metrics in Prometheus text format
   --report <f>      write the machine-readable run report (JSON)
+
+A flag the verb does not read is a usage error.
 
 exit codes: 0 complete, 2 usage, 3 partial or degraded result, 4 failure";
 
@@ -356,6 +366,150 @@ fn budget_section(budget: &twpp::Budget) -> BudgetSection {
     }
 }
 
+/// The governance flags: a wall-clock deadline and a work-step cap.
+const GOVERNANCE: &[&str] = &["--deadline-ms", "--max-events"];
+/// The observability artifact flags (see [`ObsFiles`]).
+const OBSERVABILITY: &[&str] = &["--trace-out", "--metrics-out", "--report"];
+/// The retry-policy flags of the ingest paths.
+const RETRY: &[&str] = &[
+    "--retry-attempts",
+    "--retry-base-ms",
+    "--retry-cap-ms",
+    "--retry-seed",
+];
+/// The flags of the verbs that compact into an archive: the degrade
+/// policy, durability and the timestamp-set codec.
+const ARCHIVE_WRITE: &[&str] = &["--degrade", "--fail-fast", "--durability", "--codec"];
+/// The serve daemons' listener and admin-plane flags.
+const DAEMON: &[&str] = &[
+    "--listen",
+    "--port-file",
+    "--drain-after-ms",
+    "--admin",
+    "--admin-port-file",
+];
+
+/// The flags each verb reads, as groups. Any other flag is a usage error
+/// naming the flag and the verb, so a flag meant for another verb is not
+/// silently ignored. `--help` is answered before any verb is looked at.
+const VERB_FLAGS: &[(&str, &[&[&str]])] = &[
+    ("run", &[&["--input"]]),
+    ("trace", &[&["-o", "--output", "--input"]]),
+    (
+        "compact",
+        &[
+            &["-o", "--output", "--program", "--threads", "--stats"],
+            ARCHIVE_WRITE,
+            GOVERNANCE,
+            OBSERVABILITY,
+        ],
+    ),
+    (
+        "ingest",
+        &[
+            &[
+                "--from",
+                "--seal-bytes",
+                "--seal-ms",
+                "--chunk-events",
+                "--threads",
+            ],
+            ARCHIVE_WRITE,
+            GOVERNANCE,
+            RETRY,
+            OBSERVABILITY,
+        ],
+    ),
+    (
+        "serve-ingest",
+        &[
+            DAEMON,
+            &[
+                "--seal-bytes",
+                "--seal-ms",
+                "--threads",
+                "--window-cap",
+                "--wedge-ms",
+            ],
+            &["--tail", "--log-out"],
+            ARCHIVE_WRITE,
+            GOVERNANCE,
+            RETRY,
+            OBSERVABILITY,
+        ],
+    ),
+    (
+        "net-feed",
+        &[&["--source", "--from", "--drain", "--chunk-events"], RETRY],
+    ),
+    ("status", &[&["--json", "--watch"]]),
+    ("metrics-check", &[]),
+    ("info", &[]),
+    ("query", &[&["--remote"], GOVERNANCE, OBSERVABILITY]),
+    ("slice", &[&["--remote"], GOVERNANCE, OBSERVABILITY]),
+    (
+        "currency",
+        &[&["--remote", "--redef"], GOVERNANCE, OBSERVABILITY],
+    ),
+    (
+        "serve",
+        &[
+            DAEMON,
+            &["--default-deadline-ms", "--rescan-ms", "--max-inflight"],
+            &["--no-cache", "--frame-cache-bytes", "--summary-cache-bytes"],
+            OBSERVABILITY,
+        ],
+    ),
+    (
+        "serve-bench",
+        &[
+            &["--clients", "--requests", "--admin", "--json"],
+            GOVERNANCE,
+        ],
+    ),
+    (
+        "gen-fleet",
+        &[&["--archives", "--seed", "--scale", "--threads"]],
+    ),
+    (
+        "fsck",
+        &[&["--repair", "-o", "--output", "--threads"], OBSERVABILITY],
+    ),
+    ("report-check", &[]),
+    ("sequitur", &[]),
+    (
+        "selftest",
+        &[
+            &[
+                "--seed",
+                "--cases",
+                "--max-events",
+                "--out-dir",
+                "--threads",
+            ],
+            OBSERVABILITY,
+        ],
+    ),
+];
+
+/// The flag groups `verb` reads, or `None` for an unknown verb.
+fn verb_flags(verb: &str) -> Option<&'static [&'static [&'static str]]> {
+    VERB_FLAGS
+        .iter()
+        .find(|(v, _)| *v == verb)
+        .map(|(_, groups)| *groups)
+}
+
+/// A verb's accepted flags, for the usage error.
+fn flag_list(groups: &[&[&str]]) -> String {
+    let flags: Vec<&str> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+    if flags.is_empty() {
+        "it takes no flags".to_owned()
+    } else {
+        format!("it takes {}", flags.join(" "))
+    }
+}
+
 /// Parses `args` and executes the selected command, writing human-readable
 /// output to `out`.
 ///
@@ -414,9 +568,11 @@ pub fn run_command(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
     let mut requests: Option<usize> = None;
     let mut archives: Option<usize> = None;
     let mut scale: Option<f64> = None;
+    let mut given: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let arg = args[i].as_str();
+        match arg {
             "-o" | "--output" => {
                 i += 1;
                 output = Some(
@@ -885,9 +1041,26 @@ pub fn run_command(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
                 writeln!(out, "{USAGE}")?;
                 return Ok(());
             }
-            other => positional.push(other),
+            other => {
+                positional.push(other);
+                i += 1;
+                continue;
+            }
         }
+        given.push(arg);
         i += 1;
+    }
+    let verb = positional.first().copied().unwrap_or_default();
+    if let Some(accepted) = verb_flags(verb) {
+        if let Some(flag) = given
+            .iter()
+            .find(|f| !accepted.iter().any(|g| g.contains(f)))
+        {
+            let takes = flag_list(accepted);
+            return Err(CliError::Usage(format!(
+                "`{verb}` does not take `{flag}` ({takes})"
+            )));
+        }
     }
     let usage = || CliError::Usage(USAGE.to_owned());
     let retry_policy = |default_attempts: u32| {
@@ -2338,8 +2511,7 @@ fn cmd_query(
     let obs = obs_files.observer();
     let (func, record) = {
         let _s = obs.span("query_read");
-        let la = twpp::lazy::LazyArchive::open_observed(path, obs.clone())
-            .map_err(|e| fail(format!("{}: {e}", path.display())))?;
+        let la = open_lazy(path, &obs)?;
         let func = resolve_func_lazy(&la, func)?;
         (func, read_function_lazy(&la, func)?)
     };
@@ -2391,6 +2563,14 @@ fn emit_answer_report(
 fn parse_wire_u32(raw: &str, what: &str) -> Result<u32, CliError> {
     raw.parse::<u32>()
         .map_err(|e| CliError::Usage(format!("bad {what} `{raw}`: {e}")))
+}
+
+/// Opens `path` lazily with its own default-sized frame cache, counting
+/// first decodes into `obs`.
+fn open_lazy(path: &Path, obs: &Obs) -> Result<twpp::lazy::LazyArchive, CliError> {
+    let cache = std::sync::Arc::new(twpp::FrameCache::new(twpp::DEFAULT_FRAME_CACHE_BYTES));
+    twpp::lazy::LazyArchive::open_with_cache(path, cache, obs.clone())
+        .map_err(|e| fail(format!("{}: {e}", path.display())))
 }
 
 /// Resolves a function operand (numeric id or embedded name) against a
@@ -2486,8 +2666,7 @@ fn cmd_slice(
 ) -> Result<(), CliError> {
     let budget = limits.start();
     let obs = obs_files.observer();
-    let la = twpp::lazy::LazyArchive::open_observed(path, obs.clone())
-        .map_err(|e| fail(format!("{}: {e}", path.display())))?;
+    let la = open_lazy(path, &obs)?;
     let func = resolve_func_lazy(&la, func)?;
     let record = read_function_lazy(&la, func)?;
     let answer = {
@@ -2539,8 +2718,7 @@ fn cmd_currency(
 ) -> Result<(), CliError> {
     let budget = limits.start();
     let obs = obs_files.observer();
-    let la = twpp::lazy::LazyArchive::open_observed(path, obs.clone())
-        .map_err(|e| fail(format!("{}: {e}", path.display())))?;
+    let la = open_lazy(path, &obs)?;
     let func = resolve_func_lazy(&la, func)?;
     let record = read_function_lazy(&la, func)?;
     let answer = {
@@ -3068,6 +3246,112 @@ mod tests {
     }
 
     #[test]
+    fn every_verb_rejects_a_flag_it_does_not_read() {
+        let corpus = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/small-v3.twpa"
+        );
+        // (arguments, the flag the verb does not read)
+        let cases: &[(&[&str], &str)] = &[
+            (
+                &["fsck", corpus, "--seal-bytes", "9", "--clients", "3"],
+                "--seal-bytes",
+            ),
+            (&["info", corpus, "--remote", "x"], "--remote"),
+            (&["query", corpus, "1", "--threads", "3"], "--threads"),
+            (&["run", "p.twl", "--stats"], "--stats"),
+            (
+                &["trace", "p.twl", "-o", "p.wpp", "--threads", "2"],
+                "--threads",
+            ),
+            (
+                &["compact", "p.wpp", "-o", "p.twpa", "--seal-bytes", "9"],
+                "--seal-bytes",
+            ),
+            (
+                &["ingest", "d", "--from", "p.wpp", "--program", "p.twl"],
+                "--program",
+            ),
+            (
+                &["serve-ingest", "d", "--remote", "tcp:127.0.0.1:1"],
+                "--remote",
+            ),
+            (
+                &["net-feed", "tcp:127.0.0.1:1", "--source", "s", "--stats"],
+                "--stats",
+            ),
+            (&["status", "tcp:127.0.0.1:1", "--drain"], "--drain"),
+            (&["metrics-check", "m.prom", "--json"], "--json"),
+            (
+                &["slice", corpus, "1", "0", "1", "--codec", "legacy"],
+                "--codec",
+            ),
+            (
+                &["currency", corpus, "1", "0", "1", "2", "--repair"],
+                "--repair",
+            ),
+            (&["serve", "d", "--seal-bytes", "9"], "--seal-bytes"),
+            (
+                &["serve-bench", "tcp:127.0.0.1:1", "--threads", "2"],
+                "--threads",
+            ),
+            (&["gen-fleet", "d", "--program", "p.twl"], "--program"),
+            (&["report-check", "r.json", "-o", "x"], "-o"),
+            (&["sequitur", "p.wpp", "--report", "r.json"], "--report"),
+            (&["selftest", "--deadline-ms", "5"], "--deadline-ms"),
+        ];
+        for (args, flag) in cases {
+            match run(args) {
+                Err(CliError::Usage(msg)) => assert!(
+                    msg.contains(&format!("`{}` does not take `{flag}`", args[0])),
+                    "{args:?}: {msg}"
+                ),
+                other => panic!("{args:?} must be a usage error naming {flag}: {other:?}"),
+            }
+        }
+        let tested: std::collections::BTreeSet<&str> = cases.iter().map(|(a, _)| a[0]).collect();
+        let verbs: std::collections::BTreeSet<&str> = VERB_FLAGS.iter().map(|(v, _)| *v).collect();
+        assert_eq!(tested, verbs, "one case per verb");
+        // A flag the verb does read passes the check.
+        assert!(matches!(
+            run(&["query", "/nonexistent.twpa", "1", "--max-events", "2"]),
+            Err(CliError::Failed(_))
+        ));
+    }
+
+    #[test]
+    fn help_sections_list_exactly_the_verbs_that_read_them() {
+        for (section, flag) in [
+            ("threads", "--threads"),
+            ("codec", "--codec"),
+            ("durability", "--durability"),
+            ("retry", "--retry-seed"),
+            ("governance", "--deadline-ms"),
+            ("observability", "--trace-out"),
+        ] {
+            let prefix = format!("{section} (");
+            let line = USAGE
+                .lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("help has no {section} section"));
+            let listed: Vec<&str> = line[prefix.len()..]
+                .trim_end_matches("):")
+                .split('/')
+                .collect();
+            let readers: Vec<&str> = VERB_FLAGS
+                .iter()
+                .filter(|(_, groups)| groups.iter().any(|g| g.contains(&flag)))
+                .map(|(v, _)| *v)
+                .collect();
+            let mut sorted = listed.clone();
+            sorted.sort_unstable();
+            let mut expected = readers.clone();
+            expected.sort_unstable();
+            assert_eq!(sorted, expected, "help section `{section}`");
+        }
+    }
+
+    #[test]
     fn full_workflow_run_trace_compact_info_query() {
         let dir = temp_dir();
         let src_path = dir.join("prog.twl");
@@ -3396,8 +3680,14 @@ mod tests {
             .funcs()
             .map(|(id, f)| (id, f.name().to_owned()))
             .collect();
-        let archive =
-            TwppArchive::from_compacted_governed(&compacted, &names, 1, &stats.degraded.failed);
+        let archive = TwppArchive::from_compacted_codec(
+            &compacted,
+            &names,
+            1,
+            &stats.degraded.failed,
+            &Obs::noop(),
+            twpp::Codec::Legacy,
+        );
         let arc_path = dir.join("degraded.twpa");
         archive.save(&arc_path).unwrap();
 

@@ -422,6 +422,12 @@ fn compact_at(events: &[WppEvent], threads: usize) -> Result<Option<CompactedTwp
     }
 }
 
+/// `c` encoded without names on `threads` workers with the legacy codec,
+/// observed by `obs`.
+fn encode_at(c: &CompactedTwpp, threads: usize, obs: &twpp::obs::Obs) -> TwppArchive {
+    TwppArchive::from_compacted_codec(c, &HashMap::new(), threads, &[], obs, twpp::Codec::Legacy)
+}
+
 /// The full pipeline and the archive encoder are byte-identical across
 /// every thread count.
 fn check_pipeline_thread_identity(events: &[WppEvent], cx: &CheckContext) -> Result<(), String> {
@@ -430,8 +436,7 @@ fn check_pipeline_thread_identity(events: &[WppEvent], cx: &CheckContext) -> Res
         let Some(c) = compact_at(events, t)? else {
             return Ok(());
         };
-        let archive =
-            TwppArchive::from_compacted_named_with_threads(&c, &HashMap::new(), t);
+        let archive = encode_at(&c, t, &twpp::obs::Obs::noop());
         match &baseline {
             None => baseline = Some((t, c, archive.as_bytes().to_vec())),
             Some((t0, c0, bytes0)) => {
@@ -562,13 +567,7 @@ fn check_observed_byte_identity(events: &[WppEvent], cx: &CheckContext) -> Resul
         return Err("observed pipeline output differs from noop".to_string());
     }
     let plain_bytes = TwppArchive::from_compacted(&plain);
-    let observed = TwppArchive::from_compacted_governed_obs(
-        &c,
-        &HashMap::new(),
-        t,
-        &[],
-        &obs,
-    );
+    let observed = encode_at(&c, t, &obs);
     if plain_bytes.as_bytes() != observed.as_bytes() {
         return Err("observed archive bytes differ from noop".to_string());
     }
@@ -632,7 +631,7 @@ fn check_ingest_chunking_identity(events: &[WppEvent], cx: &CheckContext) -> Res
     let t0 = *cx.threads.first().unwrap_or(&1);
     let tn = *cx.threads.last().unwrap_or(&1);
     let batch = compact_at(events, t0)?.map(|c| {
-        TwppArchive::from_compacted_named_with_threads(&c, &HashMap::new(), t0)
+        encode_at(&c, t0, &twpp::obs::Obs::noop())
             .as_bytes()
             .to_vec()
     });

@@ -114,7 +114,7 @@ impl CaseGen {
     }
 
     /// Generates a well-formed WPP event stream (possibly truncated
-    /// mid-activation, which [`twpp::partition`] accepts by design).
+    /// mid-activation, which [`twpp::partition()`] accepts by design).
     pub fn events(&mut self) -> Vec<WppEvent> {
         let bodies = self.gen_bodies();
         let mut events = Vec::new();

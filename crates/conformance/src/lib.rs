@@ -6,7 +6,7 @@
 //! * [`gen`] — deterministic, seedable case generators with shape knobs
 //!   (loop depth, call fan-out, path diversity) shared by tests, fuzzers
 //!   and benches;
-//! * [`reference`] — naive O(n)–O(n²) oracles for partitioning, dedup,
+//! * [`reference`](mod@reference) — naive O(n)–O(n²) oracles for partitioning, dedup,
 //!   DBB folding, timestamp inversion and arithmetic-series compaction
 //!   that share **no code** with `twpp::core`;
 //! * [`differential`] — checks holding the optimized pipeline to the

@@ -1,6 +1,6 @@
 //! Independent reference oracles: deliberately naive re-implementations
 //! of every pipeline transformation, sharing **no code** with
-//! [`twpp::partition`], [`twpp::dedup`], [`twpp::dbb`],
+//! [`twpp::partition`](mod@twpp::partition), [`twpp::dedup`], [`twpp::dbb`],
 //! [`twpp::timestamped`] or [`twpp::tsset`].
 //!
 //! Each oracle favours the most obvious O(n)–O(n²) formulation over

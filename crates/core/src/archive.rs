@@ -456,7 +456,9 @@ impl<W: Write> ArchiveWriter<W> {
     /// input order** — the archive produced is byte-identical to calling
     /// [`ArchiveWriter::add_function`] for each block sequentially,
     /// because frame encoding is pure per function and only the commit
-    /// step touches the sink.
+    /// step touches the sink. Per-worker `encode_frame` spans and the
+    /// `twpp_core_frames_encoded_total` counter go to `obs`; the bytes
+    /// committed are identical with [`Obs::noop`](crate::obs::Obs::noop).
     ///
     /// # Errors
     ///
@@ -464,22 +466,6 @@ impl<W: Write> ArchiveWriter<W> {
     /// out-of-domain timestamps. On error, no frame at or after the
     /// first failing block has been committed.
     pub fn add_functions(
-        &mut self,
-        blocks: &[FunctionBlock],
-        threads: usize,
-    ) -> Result<(), ArchiveError> {
-        self.add_functions_observed(blocks, threads, &crate::obs::Obs::noop())
-    }
-
-    /// Like [`ArchiveWriter::add_functions`], additionally recording
-    /// per-worker `encode_frame` spans and the
-    /// `twpp_core_frames_encoded_total` counter into `obs`. The bytes
-    /// committed are identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ArchiveWriter::add_functions`].
-    pub fn add_functions_observed(
         &mut self,
         blocks: &[FunctionBlock],
         threads: usize,
@@ -648,71 +634,32 @@ pub struct TwppArchive {
 }
 
 impl TwppArchive {
-    /// Encodes a compacted TWPP into archive form (without function
-    /// names; see [`TwppArchive::from_compacted_named`]).
+    /// Encodes a compacted TWPP into archive form, without function names,
+    /// on [`crate::par::default_threads`] workers, with [`Codec::Legacy`].
+    /// See [`TwppArchive::from_compacted_codec`] for every other option.
     pub fn from_compacted(c: &CompactedTwpp) -> TwppArchive {
-        TwppArchive::from_compacted_named(c, &HashMap::new())
+        TwppArchive::from_compacted_codec(
+            c,
+            &HashMap::new(),
+            crate::par::default_threads(),
+            &[],
+            &crate::obs::Obs::noop(),
+            Codec::Legacy,
+        )
     }
 
-    /// Encodes a compacted TWPP in the current (v3) layout, embedding the
-    /// given function names so tools can query by name. Frame encoding
-    /// runs on [`crate::par::default_threads`] workers; the bytes are
-    /// identical to a single-threaded encode.
-    pub fn from_compacted_named(c: &CompactedTwpp, names: &HashMap<FuncId, String>) -> TwppArchive {
-        TwppArchive::from_compacted_named_with_threads(c, names, crate::par::default_threads())
-    }
-
-    /// Like [`TwppArchive::from_compacted_named`] with an explicit worker
-    /// count for the frame-encoding stage. Output bytes do not depend on
-    /// `threads`.
-    pub fn from_compacted_named_with_threads(
-        c: &CompactedTwpp,
-        names: &HashMap<FuncId, String>,
-        threads: usize,
-    ) -> TwppArchive {
-        let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, names)
-            .expect("writing to an in-memory buffer cannot fail");
-        w.add_functions(&c.functions, threads)
-            .expect("pipeline-produced blocks always encode");
-        let bytes = w
-            .finish()
-            .expect("writing to an in-memory buffer cannot fail");
-        TwppArchive::from_bytes(bytes).expect("freshly encoded archive must parse")
-    }
-
-    /// Encodes the output of a possibly degraded governed compaction run:
-    /// like [`TwppArchive::from_compacted_named_with_threads`], plus one
-    /// sentinel footer entry per failed function so readers and `twpp
-    /// fsck` can report exactly what the run lost. With an empty
-    /// `failed` slice the bytes are identical to the plain encoder.
-    pub fn from_compacted_governed(
-        c: &CompactedTwpp,
-        names: &HashMap<FuncId, String>,
-        threads: usize,
-        failed: &[crate::pipeline::FailedFunction],
-    ) -> TwppArchive {
-        TwppArchive::from_compacted_governed_obs(c, names, threads, failed, &crate::obs::Obs::noop())
-    }
-
-    /// Like [`TwppArchive::from_compacted_governed`], additionally
-    /// recording an `archive_encode` span, per-worker `encode_frame`
-    /// spans and the frame counter into `obs`. Bytes are identical to
-    /// the unobserved encoder.
-    pub fn from_compacted_governed_obs(
-        c: &CompactedTwpp,
-        names: &HashMap<FuncId, String>,
-        threads: usize,
-        failed: &[crate::pipeline::FailedFunction],
-        obs: &crate::obs::Obs,
-    ) -> TwppArchive {
-        TwppArchive::from_compacted_codec(c, names, threads, failed, obs, Codec::Legacy)
-    }
-
-    /// The full-parameter encoder: like
-    /// [`TwppArchive::from_compacted_governed_obs`] with an explicit
-    /// timestamp-set [`Codec`]. Every other constructor delegates here
-    /// with [`Codec::Legacy`], so the default output stays byte-identical
-    /// to pre-codec archives.
+    /// Encodes a compacted TWPP in the current (v3) layout:
+    ///
+    /// * `names` are embedded so tools can query by name;
+    /// * frames are encoded on up to `threads` workers (the bytes do not
+    ///   depend on it);
+    /// * each `failed` function of a degraded governed run gets a
+    ///   sentinel footer entry, so readers and `twpp fsck` can report
+    ///   exactly what the run lost (an empty slice adds nothing);
+    /// * an `archive_encode` span, per-worker `encode_frame` spans and the
+    ///   frame counter go to `obs` (the bytes do not depend on it);
+    /// * timestamp sets are written with `codec`; [`Codec::Legacy`] keeps
+    ///   the output byte-identical to pre-codec archives.
     pub fn from_compacted_codec(
         c: &CompactedTwpp,
         names: &HashMap<FuncId, String>,
@@ -725,7 +672,7 @@ impl TwppArchive {
         let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, names)
             .expect("writing to an in-memory buffer cannot fail")
             .with_codec(codec);
-        w.add_functions_observed(&c.functions, threads, obs)
+        w.add_functions(&c.functions, threads, obs)
             .expect("pipeline-produced blocks always encode");
         for ff in failed {
             w.add_failed_function(ff.func, ff.call_count);
@@ -776,30 +723,18 @@ impl TwppArchive {
     /// Only totally unusable input errors: a missing `TWPA` magic, an
     /// unsupported version, or fewer than 8 bytes.
     pub fn recover(bytes: &[u8]) -> Result<(TwppArchive, RecoveryReport), ArchiveError> {
-        TwppArchive::recover_with_threads(bytes, crate::par::default_threads())
-    }
-
-    /// Like [`TwppArchive::recover`] with an explicit worker count for the
-    /// per-frame checksum verification and decode stage. The report and
-    /// the rebuilt archive do not depend on `threads` — per-region
-    /// verification is pure and verdicts are assembled in the same order
-    /// the sequential walk would produce.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TwppArchive::recover`].
-    pub fn recover_with_threads(
-        bytes: &[u8],
-        threads: usize,
-    ) -> Result<(TwppArchive, RecoveryReport), ArchiveError> {
+        let threads = crate::par::default_threads();
         TwppArchive::recover_observed(bytes, threads, &crate::obs::Obs::noop())
     }
 
-    /// Like [`TwppArchive::recover_with_threads`], additionally
-    /// recording an `fsck_verify` span and the
-    /// `twpp_core_frames_crc_verified_total` /
+    /// Like [`TwppArchive::recover`] with an explicit worker count for the
+    /// per-frame checksum verification and decode stage, recording an
+    /// `fsck_verify` span and the `twpp_core_frames_crc_verified_total` /
     /// `twpp_core_frames_lost_total` counters derived from the recovery
-    /// report. The report and rebuilt archive are identical either way.
+    /// report into `obs`. The report and the rebuilt archive depend on
+    /// neither `threads` nor `obs`: per-region verification is pure and
+    /// verdicts are assembled in the order the sequential walk would
+    /// produce.
     ///
     /// # Errors
     ///
@@ -1972,6 +1907,17 @@ mod tests {
         FuncId::from_index(i)
     }
 
+    /// `c` encoded with `names` and `failed` on two workers, unobserved,
+    /// legacy codec.
+    fn encode(
+        c: &CompactedTwpp,
+        names: &HashMap<FuncId, String>,
+        failed: &[crate::pipeline::FailedFunction],
+    ) -> TwppArchive {
+        let noop = crate::obs::Obs::noop();
+        TwppArchive::from_compacted_codec(c, names, 2, failed, &noop, Codec::Legacy)
+    }
+
     fn sample_wpp() -> RawWpp {
         let t1: Vec<u32> = vec![1, 2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 10];
         let t2: Vec<u32> = vec![1, 2, 7, 8, 9, 6, 10];
@@ -2021,7 +1967,7 @@ mod tests {
             Codec::Adaptive,
         );
         // The explicit-legacy constructor is byte-identical to the default.
-        assert_eq!(legacy.as_bytes(), TwppArchive::from_compacted_named(&c, &names).as_bytes());
+        assert_eq!(legacy.as_bytes(), encode(&c, &names, &[]).as_bytes());
         // Adaptive decodes to the same compacted TWPP and never costs bytes.
         assert_eq!(adaptive.to_compacted().unwrap(), c);
         assert!(adaptive.byte_len() <= legacy.byte_len());
@@ -2083,7 +2029,7 @@ mod tests {
             stage: "compact",
             reason: "injected".to_owned(),
         }];
-        let a = TwppArchive::from_compacted_governed(&c, &sample_names(), 2, &failed);
+        let a = encode(&c, &sample_names(), &failed);
         assert!(a.is_degraded());
         assert_eq!(a.failed_functions(), &[(f(1), 4)]);
         // The survivor decodes; the failed function yields the typed error.
@@ -2119,9 +2065,12 @@ mod tests {
     #[test]
     fn governed_encode_with_no_failures_is_byte_identical() {
         let c = compact(&sample_wpp()).unwrap();
-        let plain = TwppArchive::from_compacted_named_with_threads(&c, &sample_names(), 2);
-        let governed = TwppArchive::from_compacted_governed(&c, &sample_names(), 2, &[]);
-        assert_eq!(plain.as_bytes(), governed.as_bytes());
+        let governed = encode(&c, &sample_names(), &[]);
+        let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, &sample_names()).unwrap();
+        for fb in &c.functions {
+            w.add_function(fb).unwrap();
+        }
+        assert_eq!(governed.as_bytes(), &w.finish().unwrap()[..]);
         assert!(!governed.is_degraded());
     }
 
@@ -2152,7 +2101,7 @@ mod tests {
     #[test]
     fn named_archives_store_and_look_up_names() {
         let c = compact(&sample_wpp()).unwrap();
-        let a = TwppArchive::from_compacted_named(&c, &sample_names());
+        let a = encode(&c, &sample_names(), &[]);
         assert_eq!(a.function_name(f(0)), Some("main"));
         assert_eq!(a.function_name(f(1)), Some("helper"));
         assert_eq!(a.function_by_name("helper"), Some(f(1)));
@@ -2167,7 +2116,7 @@ mod tests {
         // Partial name maps leave the rest unnamed.
         let mut partial = HashMap::new();
         partial.insert(f(1), "only".to_owned());
-        let a = TwppArchive::from_compacted_named(&c, &partial);
+        let a = encode(&c, &partial, &[]);
         assert_eq!(a.function_name(f(0)), None);
         assert_eq!(a.function_name(f(1)), Some("only"));
     }
@@ -2219,7 +2168,7 @@ mod tests {
             w.add_function(fb).unwrap();
         }
         let streamed = w.finish().unwrap();
-        let one_shot = TwppArchive::from_compacted_named(&c, &names);
+        let one_shot = encode(&c, &names, &[]);
         assert_eq!(streamed, one_shot.as_bytes());
     }
 
@@ -2304,7 +2253,7 @@ mod tests {
     #[test]
     fn recover_on_clean_archive_reports_clean() {
         let c = compact(&sample_wpp()).unwrap();
-        let a = TwppArchive::from_compacted_named(&c, &sample_names());
+        let a = encode(&c, &sample_names(), &[]);
         let (salvaged, report) = TwppArchive::recover(a.as_bytes()).unwrap();
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.salvaged_functions(), 2);

@@ -52,7 +52,7 @@ pub struct IngestOptions {
     /// Default [`Durability::Sync`]: acknowledged means on disk.
     pub durability: Durability,
     /// Worker count for the merge compaction, resolved like
-    /// [`crate::CompactOptions::threads`]. The output is identical for
+    /// [`crate::GovOptions::threads`]. The output is identical for
     /// every thread count. Seals do not compact.
     pub threads: Option<usize>,
     /// Resource envelope for the *ingest* layer. Exhaustion is

@@ -38,9 +38,9 @@ use crate::obs::Obs;
 /// frames decoded on first access and cached.
 ///
 /// Obtained from [`TwppArchive::open_lazy`] (or
-/// [`LazyArchive::open_observed`] to record metrics). Shared-reference
-/// methods take interior locks, so a `LazyArchive` can be queried from
-/// multiple threads behind an `Arc`.
+/// [`LazyArchive::open_with_cache`] to share a frame cache and record
+/// metrics). Shared-reference methods take interior locks, so a
+/// `LazyArchive` can be queried from multiple threads behind an `Arc`.
 pub struct LazyArchive {
     file: Mutex<File>,
     index: Index,
@@ -70,26 +70,17 @@ impl LazyArchive {
     /// mismatches, truncation, or [`ArchiveError::BadVersion`] for
     /// versions other than 2 and 3.
     pub fn open(path: &Path) -> Result<LazyArchive, ArchiveError> {
-        LazyArchive::open_observed(path, Obs::noop())
-    }
-
-    /// Like [`LazyArchive::open`], additionally recording the
-    /// `twpp_core_frames_decoded_lazy` counter (one increment per frame
-    /// decoded on first access; cache hits don't count) into `obs`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LazyArchive::open`].
-    pub fn open_observed(path: &Path, obs: Obs) -> Result<LazyArchive, ArchiveError> {
         let cache = Arc::new(FrameCache::new(DEFAULT_FRAME_CACHE_BYTES));
-        LazyArchive::open_with_cache(path, cache, obs)
+        LazyArchive::open_with_cache(path, cache, Obs::noop())
     }
 
-    /// Like [`LazyArchive::open_observed`], decoding frames into (and out
-    /// of) `cache` — a byte-capped LRU that may be shared across many
-    /// archives (each open gets a process-unique uid keying its entries).
-    /// This is how a fleet server bounds resident frame bytes across all
-    /// tenants with one knob.
+    /// Like [`LazyArchive::open`], decoding frames into (and out of)
+    /// `cache` — a byte-capped LRU that may be shared across many archives
+    /// (each open gets a process-unique uid keying its entries). This is
+    /// how a fleet server bounds resident frame bytes across all tenants
+    /// with one knob. `obs` receives the `twpp_core_frames_decoded_lazy`
+    /// counter (one increment per frame decoded on first access; cache
+    /// hits don't count).
     ///
     /// # Errors
     ///
@@ -340,7 +331,8 @@ mod tests {
         let dir = tempdir();
         let path = write_archive(&dir, Codec::Legacy);
         let obs = Obs::collecting();
-        let lazy = LazyArchive::open_observed(&path, obs.clone()).unwrap();
+        let cache = Arc::new(FrameCache::new(DEFAULT_FRAME_CACHE_BYTES));
+        let lazy = LazyArchive::open_with_cache(&path, cache, obs.clone()).unwrap();
         let funcs = lazy.function_ids();
         for f in &funcs {
             lazy.read_function(*f).unwrap();

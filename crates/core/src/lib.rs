@@ -58,14 +58,13 @@ pub use obs::{
     MetricsSnapshot, Obs, PromFamily, RateEstimator, RunOutcome, RunReport,
     REPORT_SCHEMA_VERSION,
 };
-pub use par::{default_threads, map_indexed_isolated, resolve_threads, WorkerReport};
+pub use par::{default_threads, resolve_threads, WorkerReport};
 pub use ingest::{Compactor, FinishReport, IngestError, IngestOptions, ResumeReport, WalError};
 pub use lazy::LazyArchive;
 pub use partition::{partition, PartitionError, PartitionedWpp};
 pub use pipeline::{
-    compact, compact_governed, compact_partitioned_governed, compact_with_stats,
-    compact_with_stats_threads, CompactOptions, CompactedTwpp, DegradedReport, FailedFunction,
-    FunctionOutcome, GovOptions, PipelineError, PipelineStats, StageTimings,
+    compact, compact_governed, CompactedTwpp, DegradedReport, FailedFunction, FunctionOutcome,
+    GovOptions, PipelineError, PipelineStats, StageTimings,
 };
 pub use recovery::{FunctionVerdict, RecoveryReport, RegionStatus, SalvageStrategy};
 pub use timestamped::{Codec, TimestampedTrace};

@@ -38,7 +38,7 @@
 //!   a fixed documented order, so golden-file tests can compare bytes.
 //!
 //! Metric naming convention: `twpp_<crate>_<name>`, e.g.
-//! `twpp_core_events_total`, `twpp_dataflow_query_nodes_visited_total`.
+//! `twpp_core_events_processed_total`, `twpp_server_requests_total`.
 
 #![deny(clippy::unwrap_used)]
 

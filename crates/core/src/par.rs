@@ -111,22 +111,18 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    map_indexed_report(items, threads, f).0
+    map_indexed_observed(items, threads, &Obs::noop(), "par", f).0
 }
 
 /// Like [`map_indexed`], additionally returning a [`WorkerReport`] with
-/// per-worker item counts and the stage's wall time.
-pub fn map_indexed_report<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, WorkerReport)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_indexed_observed(items, threads, &Obs::noop(), "par", f)
-}
-
-/// Like [`map_indexed_report`], additionally recording one span per
-/// worker (`span_name`, tid = worker index + 1) into `obs`.
+/// per-worker item counts and the stage's wall time, and recording one
+/// span per worker (`span_name`, tid = worker index + 1) into `obs`.
+///
+/// A caller that must survive a panicking item (the degrade policy of
+/// [`crate::compact_governed`]) wraps `f`'s body in
+/// [`std::panic::catch_unwind`] and maps the payload with
+/// [`crate::gov::panic_message`], so that item yields an error while every
+/// other item still completes.
 ///
 /// Workers measure their own busy interval with [`Obs::now_ns`]; the
 /// records are pushed **at join time, in worker order**, so the
@@ -242,52 +238,6 @@ where
     (out, report)
 }
 
-/// Like [`map_indexed_report`], but every invocation of `f` is wrapped
-/// in [`std::panic::catch_unwind`]: a panicking item yields
-/// `Err(message)` for that index while every other item still completes
-/// and is returned in input order.
-///
-/// This is the degrade-mode primitive: one poisoned function must not
-/// abort the whole compaction. The fail-fast paths keep using
-/// [`map_indexed`], whose panic-propagation semantics are unchanged.
-///
-/// The panic hook is left untouched, so an injected panic still prints a
-/// backtrace unless the caller silences it; callers that expect panics
-/// (tests, degrade-mode CLI) may install a quiet hook around the call.
-pub fn map_indexed_isolated<T, R, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> (Vec<Result<R, String>>, WorkerReport)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    map_indexed_isolated_observed(items, threads, &Obs::noop(), "par", f)
-}
-
-/// Like [`map_indexed_isolated`], additionally recording per-worker
-/// spans into `obs` (see [`map_indexed_observed`]).
-pub fn map_indexed_isolated_observed<T, R, F>(
-    items: &[T],
-    threads: usize,
-    obs: &Obs,
-    span_name: &'static str,
-    f: F,
-) -> (Vec<Result<R, String>>, WorkerReport)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let f = &f;
-    map_indexed_observed(items, threads, obs, span_name, move |i, item| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item)))
-            .map_err(|payload| crate::gov::panic_message(payload.as_ref()))
-    })
-}
-
 /// Elapsed nanoseconds since `started`, saturating at `u64::MAX`.
 fn elapsed_nanos(started: Instant) -> u64 {
     u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -321,10 +271,11 @@ mod tests {
 
     #[test]
     fn empty_and_singleton_inputs_run_inline() {
-        let (out, report) = map_indexed_report(&[] as &[u32], 8, |_, &x| x);
+        let noop = Obs::noop();
+        let (out, report) = map_indexed_observed(&[] as &[u32], 8, &noop, "par", |_, &x| x);
         assert!(out.is_empty());
         assert_eq!(report.threads, 1);
-        let (out, report) = map_indexed_report(&[7u32], 8, |_, &x| x + 1);
+        let (out, report) = map_indexed_observed(&[7u32], 8, &noop, "par", |_, &x| x + 1);
         assert_eq!(out, vec![8]);
         assert_eq!(report.threads, 1);
         assert_eq!(report.total_items(), 1);
@@ -333,7 +284,7 @@ mod tests {
     #[test]
     fn report_accounts_for_every_item() {
         let items: Vec<u32> = (0..100).collect();
-        let (_, report) = map_indexed_report(&items, 4, |_, &x| x);
+        let (_, report) = map_indexed_observed(&items, 4, &Obs::noop(), "par", |_, &x| x);
         assert_eq!(report.threads, 4);
         assert_eq!(report.items_per_worker.len(), 4);
         assert_eq!(report.total_items(), 100);
@@ -363,11 +314,14 @@ mod tests {
         // panic; restore afterwards so other tests are unaffected.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let (out, report) = map_indexed_isolated(&items, 4, |_, &x| {
-            if x == 33 {
-                panic!("worker exploded on {x}");
-            }
-            x * 2
+        let (out, report) = map_indexed_observed(&items, 4, &Obs::noop(), "par", |_, &x| {
+            std::panic::catch_unwind(|| {
+                if x == 33 {
+                    panic!("worker exploded on {x}");
+                }
+                x * 2
+            })
+            .map_err(|payload| crate::gov::panic_message(payload.as_ref()))
         });
         std::panic::set_hook(prev);
         assert_eq!(out.len(), 64);

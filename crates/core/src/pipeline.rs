@@ -140,31 +140,15 @@ impl CompactedTwpp {
     }
 }
 
-/// Options controlling how the compaction pipeline executes. The options
-/// affect only scheduling, never the bytes produced.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct CompactOptions {
-    /// Worker count for the per-function stages. `None` resolves through
-    /// [`crate::par::resolve_threads`]: the `TWPP_THREADS` environment
-    /// variable if set, otherwise the hardware's parallelism.
-    pub threads: Option<usize>,
-}
-
-impl CompactOptions {
-    /// Options pinning an explicit worker count.
-    pub fn with_threads(threads: usize) -> CompactOptions {
-        CompactOptions {
-            threads: Some(threads),
-        }
-    }
-}
-
 /// Options for the governed pipeline entry point
 /// [`compact_governed`]: scheduling plus a resource envelope, a
 /// degradation policy, and an optional fault-injection plan.
 #[derive(Clone, Debug)]
 pub struct GovOptions {
-    /// Worker count, resolved like [`CompactOptions::threads`].
+    /// Worker count for the per-function stages. `None` resolves through
+    /// [`crate::par::resolve_threads`]: the `TWPP_THREADS` environment
+    /// variable if set, otherwise the hardware's parallelism. Output bytes
+    /// do not depend on it.
     pub threads: Option<usize>,
     /// Resource envelope checked at stage boundaries and per function.
     /// Exhaustion is a **hard stop** ([`PipelineError::Budget`]) — a
@@ -465,55 +449,36 @@ pub fn ratio(a: usize, b: usize) -> f64 {
     }
 }
 
-/// Runs the full compaction pipeline on the default worker count
-/// (`TWPP_THREADS` if set, otherwise the hardware's parallelism).
+/// Runs the full compaction pipeline with [`GovOptions::default`]: the
+/// default worker count (`TWPP_THREADS` if set, otherwise the hardware's
+/// parallelism), no budget, fail-fast, unobserved. Use
+/// [`compact_governed`] for the per-stage [`PipelineStats`] or any other
+/// option.
 ///
 /// # Errors
 ///
 /// Returns a [`PartitionError`] if the event stream is malformed.
 pub fn compact(wpp: &RawWpp) -> Result<CompactedTwpp, PartitionError> {
-    compact_with_stats(wpp).map(|(c, _)| c)
+    match compact_governed(wpp, &GovOptions::default()) {
+        Ok((c, _)) => Ok(c),
+        Err(PipelineError::Partition(p)) => Err(p),
+        // Unreachable: the unlimited budget's private cancel token is
+        // never cancelled and no other limit is configured.
+        Err(PipelineError::Budget(_)) => {
+            Err(PartitionError::LimitExceeded("unlimited budget exhausted"))
+        }
+    }
 }
 
-/// Runs the full compaction pipeline, also returning per-stage statistics,
-/// on the default worker count.
-///
-/// # Errors
-///
-/// Returns a [`PartitionError`] if the event stream is malformed.
-pub fn compact_with_stats(wpp: &RawWpp) -> Result<(CompactedTwpp, PipelineStats), PartitionError> {
-    compact_with_stats_threads(wpp, CompactOptions::default())
-}
-
-/// Runs the full compaction pipeline with explicit [`CompactOptions`].
+/// Runs the full compaction pipeline under a [`Budget`], with optional
+/// panic-isolated graceful degradation and fault injection, returning
+/// the compacted TWPP and its per-stage [`PipelineStats`].
 ///
 /// The per-function stages — redundancy elimination, DBB dictionary
 /// building, TWPP inversion and timestamp-series compaction — never cross
 /// function boundaries, so they fan across the worker pool; results are
 /// folded in function order, making the output **byte-identical for every
 /// thread count** (property-tested in `tests/parallel.rs`).
-///
-/// # Errors
-///
-/// Returns a [`PartitionError`] if the event stream is malformed.
-pub fn compact_with_stats_threads(
-    wpp: &RawWpp,
-    options: CompactOptions,
-) -> Result<(CompactedTwpp, PipelineStats), PartitionError> {
-    let gov = GovOptions {
-        threads: options.threads,
-        ..GovOptions::default()
-    };
-    compact_governed(wpp, &gov).map_err(|e| match e {
-        PipelineError::Partition(p) => p,
-        // Unreachable: the unlimited budget's private cancel token is
-        // never cancelled and no other limit is configured.
-        PipelineError::Budget(_) => PartitionError::LimitExceeded("unlimited budget exhausted"),
-    })
-}
-
-/// Runs the full compaction pipeline under a [`Budget`], with optional
-/// panic-isolated graceful degradation and fault injection.
 ///
 /// Semantics:
 ///
@@ -528,12 +493,12 @@ pub fn compact_with_stats_threads(
 ///   erroring function becomes a [`FailedFunction`] in
 ///   [`PipelineStats::degraded`] (deterministic function-id order) while
 ///   every other function completes normally. With `fail_fast: true`
-///   (the default, and the path the legacy entry points take) a panic
-///   propagates on the calling thread exactly as before.
+///   (the default, and the path [`compact`] takes) a panic propagates on
+///   the calling thread.
 /// * **No fault ⇒ byte identity** — with an unlimited budget and no
-///   injected fault, the output is byte-identical to
-///   [`compact_with_stats_threads`] for every thread count and policy
-///   (property-tested in `tests/governance.rs`).
+///   injected fault, the output is byte-identical to [`compact`] for
+///   every thread count and policy (property-tested in
+///   `tests/governance.rs`).
 ///
 /// # Errors
 ///
@@ -682,50 +647,14 @@ fn compact_governed_inner(
     // Stage 1: partition into path traces + DCG. The event count is the
     // natural unit for `--max-events`.
     let started = Instant::now();
-    let part = {
+    let mut part = {
         let _s = obs.span("partition");
         partition(wpp)?
     };
     let partition_nanos = elapsed_nanos(started);
     budget.charge_steps(wpp.event_count() as u64)?;
     budget.charge_bytes(wpp.byte_len() as u64)?;
-    compact_partitioned_inner(part, raw, partition_nanos, options)
-}
-
-/// Runs stages 2–5 of the pipeline (dedup, per-function DBB/TWPP/TsSet,
-/// sort, DCG compression) over an already-partitioned WPP.
-///
-/// This is the seam the streaming [`Compactor`](crate::ingest::Compactor)
-/// shares with the batch entry points: batch compaction partitions a
-/// whole event stream and calls this; the ingest layer partitions each
-/// sealed window (with its open-activation context re-entered) and calls
-/// this, so segments and whole-trace archives are built by the exact
-/// same code and stay byte-compatible. `raw` is the size breakdown of
-/// the events `part` was built from (for the stats' compression
-/// factors).
-///
-/// # Errors
-///
-/// [`PipelineError::Budget`] on envelope exhaustion,
-/// [`PipelineError::Partition`] if a per-function stage rejects its
-/// input under the fail-fast policy.
-pub fn compact_partitioned_governed(
-    part: PartitionedWpp,
-    raw: RawSizes,
-    options: &GovOptions,
-) -> Result<(CompactedTwpp, PipelineStats), PipelineError> {
-    compact_partitioned_inner(part, raw, 0, options)
-}
-
-fn compact_partitioned_inner(
-    mut part: PartitionedWpp,
-    raw: RawSizes,
-    partition_nanos: u64,
-    options: &GovOptions,
-) -> Result<(CompactedTwpp, PipelineStats), PipelineError> {
     let threads = par::resolve_threads(options.threads);
-    let budget = &options.budget;
-    let obs = &options.obs;
     let owpp_trace_bytes = part.trace_bytes();
 
     // Stage 2: redundant path trace elimination (per-function, parallel).
@@ -783,8 +712,12 @@ fn compact_partitioned_inner(
         // Degrade mode: every per-function stage is panic-isolated; one
         // poisoned function becomes a FailedFunction entry instead of
         // aborting the run. Budget exhaustion still hard-stops.
+        let isolated = |i: usize, entry: &(&FuncId, &Vec<PathTrace>)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build(i, entry)))
+                .map_err(|payload| crate::gov::panic_message(payload.as_ref()))
+        };
         let (built, report) =
-            par::map_indexed_isolated_observed(&entries, threads, obs, "function_stage", build);
+            par::map_indexed_observed(&entries, threads, obs, "function_stage", isolated);
         workers = report;
         for (i, r) in built.into_iter().enumerate() {
             let (&func, _) = entries[i];
@@ -940,6 +873,13 @@ mod tests {
         FuncId::from_index(i)
     }
 
+    fn on_threads(n: usize) -> GovOptions {
+        GovOptions {
+            threads: Some(n),
+            ..GovOptions::default()
+        }
+    }
+
     /// The paper's running example (Figures 1-7): main's loop calls f five
     /// times; f loops three times per call over one of two paths.
     fn figure1() -> RawWpp {
@@ -965,7 +905,7 @@ mod tests {
     #[test]
     fn figures_1_through_7_pipeline() {
         let wpp = figure1();
-        let (c, stats) = compact_with_stats(&wpp).unwrap();
+        let (c, stats) = compact_governed(&wpp, &GovOptions::default()).unwrap();
 
         // Figure 3: redundancy removal leaves 2 unique traces for f.
         assert_eq!(stats.redundancy.per_func[&f(1)], (5, 2));
@@ -991,7 +931,7 @@ mod tests {
 
     #[test]
     fn stats_are_internally_consistent() {
-        let (c, stats) = compact_with_stats(&figure1()).unwrap();
+        let (c, stats) = compact_governed(&figure1(), &GovOptions::default()).unwrap();
         assert_eq!(stats.owpp_trace_bytes, stats.raw.trace_bytes);
         assert!(stats.after_dedup_bytes <= stats.owpp_trace_bytes);
         assert!(stats.after_dict_bytes <= stats.after_dedup_bytes);
@@ -1003,7 +943,7 @@ mod tests {
 
     #[test]
     fn hot_paths_rank_unique_traces_by_frequency() {
-        let (c, _) = compact_with_stats(&figure1()).unwrap();
+        let (c, _) = compact_governed(&figure1(), &GovOptions::default()).unwrap();
         // f's calls follow trace pattern B,B,A,B,A: the B-trace (stored
         // first) is hotter.
         let freqs = c.trace_frequencies(f(1));
@@ -1019,7 +959,7 @@ mod tests {
 
     #[test]
     fn functions_ordered_by_call_count() {
-        let (c, _) = compact_with_stats(&figure1()).unwrap();
+        let (c, _) = compact_governed(&figure1(), &GovOptions::default()).unwrap();
         assert_eq!(c.functions[0].func, f(1)); // 5 calls
         assert_eq!(c.functions[1].func, f(0)); // 1 call
         assert!(c.functions[0].call_count >= c.functions[1].call_count);
@@ -1027,7 +967,7 @@ mod tests {
 
     #[test]
     fn identical_dictionaries_are_shared() {
-        let (c, _) = compact_with_stats(&figure1()).unwrap();
+        let (c, _) = compact_governed(&figure1(), &GovOptions::default()).unwrap();
         let fb = c.function(f(1)).unwrap();
         // Two traces, two distinct loop bodies -> two dictionaries; but
         // main has one trace and at most one dictionary.
@@ -1055,10 +995,9 @@ mod tests {
     #[test]
     fn output_is_identical_for_every_thread_count() {
         let wpp = figure1();
-        let (seq, _) = compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
+        let (seq, _) = compact_governed(&wpp, &on_threads(1)).unwrap();
         for threads in 2..=8 {
-            let (par, stats) =
-                compact_with_stats_threads(&wpp, CompactOptions::with_threads(threads)).unwrap();
+            let (par, stats) = compact_governed(&wpp, &on_threads(threads)).unwrap();
             assert_eq!(par, seq, "compact diverged at {threads} threads");
             assert_eq!(stats.workers.total_items(), 2, "two functions processed");
         }
@@ -1067,7 +1006,7 @@ mod tests {
     #[test]
     fn governed_matches_legacy_when_no_fault_fires() {
         let wpp = figure1();
-        let (legacy, legacy_stats) = compact_with_stats(&wpp).unwrap();
+        let (legacy, legacy_stats) = compact_governed(&wpp, &GovOptions::default()).unwrap();
         for fail_fast in [true, false] {
             let gov = GovOptions {
                 fail_fast,
@@ -1145,7 +1084,7 @@ mod tests {
     #[test]
     fn observed_run_records_spans_and_metrics_without_changing_output() {
         let wpp = figure1();
-        let (plain, _) = compact_with_stats(&wpp).unwrap();
+        let (plain, _) = compact_governed(&wpp, &GovOptions::default()).unwrap();
         let obs = crate::obs::Obs::collecting();
         let gov = GovOptions {
             obs: obs.clone(),
@@ -1189,8 +1128,7 @@ mod tests {
 
     #[test]
     fn stats_carry_stage_timings_and_worker_report() {
-        let (_, stats) =
-            compact_with_stats_threads(&figure1(), CompactOptions::with_threads(2)).unwrap();
+        let (_, stats) = compact_governed(&figure1(), &on_threads(2)).unwrap();
         // Wall clocks are monotone; every stage ran, so the total is the
         // sum of its parts (all finite).
         assert_eq!(

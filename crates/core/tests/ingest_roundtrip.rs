@@ -57,12 +57,13 @@ fn batch_bytes(events: &[WppEvent]) -> Vec<u8> {
     let wpp = RawWpp::from_events(events);
     let (compacted, stats) =
         compact_governed(&wpp, &GovOptions::default()).expect("batch compaction");
-    TwppArchive::from_compacted_governed_obs(
+    TwppArchive::from_compacted_codec(
         &compacted,
         &HashMap::new(),
         twpp::resolve_threads(None),
         &stats.degraded.failed,
         &twpp::Obs::noop(),
+        twpp::Codec::Legacy,
     )
     .as_bytes()
     .to_vec()

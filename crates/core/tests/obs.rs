@@ -40,12 +40,13 @@ fn archive_bytes(wpp: &twpp_tracer::RawWpp, threads: usize, obs: &Obs) -> Vec<u8
         ..GovOptions::default()
     };
     let (compacted, stats) = twpp::compact_governed(wpp, &options).expect("compaction succeeds");
-    let archive = TwppArchive::from_compacted_governed_obs(
+    let archive = TwppArchive::from_compacted_codec(
         &compacted,
         &HashMap::new(),
         threads,
         &stats.degraded.failed,
         obs,
+        twpp::Codec::Legacy,
     );
     archive.as_bytes().to_vec()
 }
@@ -56,8 +57,7 @@ fn noop_observer_is_byte_identical_for_one_to_eight_threads() {
     // The uninstrumented baseline: plain compact() + plain encoder.
     let baseline = {
         let compacted = twpp::compact(&wpp).expect("baseline compaction");
-        let archive =
-            TwppArchive::from_compacted_governed(&compacted, &HashMap::new(), 1, &[]);
+        let archive = TwppArchive::from_compacted(&compacted);
         archive.as_bytes().to_vec()
     };
     for threads in 1..=8 {

@@ -52,33 +52,6 @@ impl CallSummaries {
         fact: &F,
         budget: &Budget,
     ) -> Result<CallSummaries, StopReason> {
-        Self::compute_observed(program, compacted, fact, budget, &twpp::obs::Obs::noop())
-    }
-
-    /// Observed variant of [`CallSummaries::compute_governed`]:
-    /// additionally records the `twpp_dataflow_interproc_*` counters —
-    /// trace replays performed, fixed-point rounds run, and summary
-    /// reuses (call sites answered from an already-computed callee
-    /// summary instead of a fresh replay). The summaries are identical.
-    pub fn compute_observed<F: GenKillFact + ?Sized>(
-        program: &Program,
-        compacted: &CompactedTwpp,
-        fact: &F,
-        budget: &Budget,
-        obs: &twpp::obs::Obs,
-    ) -> Result<CallSummaries, StopReason> {
-        let replays = obs.counter(
-            "twpp_dataflow_interproc_replays_total",
-            "Unique-trace replays performed by the call-summary fixed point",
-        );
-        let reused = obs.counter(
-            "twpp_dataflow_interproc_summaries_reused_total",
-            "Call sites answered from an existing callee summary",
-        );
-        let rounds_counter = obs.counter(
-            "twpp_dataflow_interproc_rounds_total",
-            "Fixed-point rounds run by the call-summary computation",
-        );
         let mut summaries = CallSummaries {
             effects: HashMap::new(),
         };
@@ -90,21 +63,13 @@ impl CallSummaries {
         }
         let max_rounds = compacted.functions.len() + 2;
         for _ in 0..max_rounds {
-            rounds_counter.inc();
             let mut changed = false;
             for fb in &compacted.functions {
                 let mut agreed: Option<Effect> = None;
                 let mut mixed = false;
                 for trace in fb.expanded_traces() {
                     budget.charge_step()?;
-                    replays.inc();
-                    let e = summaries.trace_effect(
-                        program,
-                        fb.func,
-                        trace.blocks(),
-                        fact,
-                        &reused,
-                    );
+                    let e = summaries.trace_effect(program, fb.func, trace.blocks(), fact);
                     match agreed {
                         None => agreed = Some(e),
                         Some(prev) if prev == e => {}
@@ -138,7 +103,6 @@ impl CallSummaries {
         func: FuncId,
         blocks: &[twpp_ir::BlockId],
         fact: &F,
-        reused: &twpp::obs::Counter,
     ) -> Effect {
         let function = program.func(func);
         let mut acc = Effect::Transparent;
@@ -148,7 +112,6 @@ impl CallSummaries {
                     // Every call site is answered from the summary table
                     // rather than a nested replay — the reuse that makes
                     // the fixed point tractable.
-                    reused.inc();
                     match self.effect_of(callee) {
                         Effect::Transparent => {}
                         e => acc = e,

@@ -132,24 +132,6 @@ impl<'p> InterSlicer<'p> {
         criterion: InterCriterion,
         budget: &Budget,
     ) -> InterSliceOutcome {
-        self.slice_observed(criterion, budget, &twpp::obs::Obs::noop())
-    }
-
-    /// Observed variant of [`InterSlicer::slice_governed`]: additionally
-    /// records the `twpp_dataflow_interslice_*` counters — activation
-    /// walks started, worklist instances processed, and walks stopped
-    /// short by the budget. The slice is identical.
-    pub fn slice_observed(
-        &mut self,
-        criterion: InterCriterion,
-        budget: &Budget,
-        obs: &twpp::obs::Obs,
-    ) -> InterSliceOutcome {
-        obs.counter(
-            "twpp_dataflow_interslice_total",
-            "Interprocedural slices computed",
-        )
-        .inc();
         let mut slice: BTreeSet<SlicePoint> = BTreeSet::new();
         let mut visited: HashSet<(DcgNodeId, u32)> = HashSet::new();
         let mut work: Vec<(DcgNodeId, u32, Option<Var>)> = Vec::new();
@@ -157,18 +139,8 @@ impl<'p> InterSlicer<'p> {
         // The criterion instance itself is in the slice; explaining `var`
         // starts from its reaching definition.
         work.push((criterion.activation, criterion.timestamp, Some(criterion.var)));
-        let visited_counter = obs.counter(
-            "twpp_dataflow_interslice_visited_total",
-            "Worklist instances processed by interprocedural slicing",
-        );
-        let partial_counter = obs.counter(
-            "twpp_dataflow_interslice_partial_total",
-            "Interprocedural slices stopped short by the budget",
-        );
         while let Some((activation, t, seed_var)) = work.pop() {
             if let Err(reason) = budget.charge_step() {
-                visited_counter.add(popped);
-                partial_counter.inc();
                 return InterSliceOutcome::Partial {
                     slice,
                     visited: popped,
@@ -178,7 +150,6 @@ impl<'p> InterSlicer<'p> {
             popped += 1;
             self.process_instance(activation, t, seed_var, &mut slice, &mut visited, &mut work);
         }
-        visited_counter.add(popped);
         InterSliceOutcome::Complete(slice)
     }
 

@@ -47,8 +47,8 @@ pub use interslice::{InterCriterion, InterSliceOutcome, InterSlicer, SlicePoint}
 pub use optimize::{all_redundant_load_candidates, redundant_load_candidates, LoadCandidate};
 pub use query::{
     node_effects, solve_backward, solve_backward_effects_governed, solve_backward_governed,
-    solve_by_propagation, solve_by_replay, solve_by_replay_effects_governed,
-    solve_by_replay_governed, QueryOutcome, QueryResult,
+    solve_by_propagation, solve_by_replay, solve_by_replay_effects_governed, QueryOutcome,
+    QueryResult,
 };
 pub use reach::{backward_reach_governed, block_effects, ReachOutcome};
 pub use reachdefs::ReachingDefs;

@@ -7,8 +7,8 @@
 //!
 //! Two engines compute it:
 //!
-//! * the served engine ([`solve_backward`] and its governed/observed
-//!   forms) projects the dynamic CFG onto its GEN and KILL nodes — their
+//! * the served engine ([`solve_backward`] and its governed forms)
+//!   projects the dynamic CFG onto its GEN and KILL nodes — their
 //!   timestamp sets are exactly the positions that can decide a query —
 //!   and sweeps the queried timestamps once, in ascending order, against
 //!   that projection: O(trace length) per query;
@@ -24,7 +24,6 @@
 //! paper's hot-data-flow-fact primitive for profile-guided optimization.
 
 use twpp::gov::{Budget, StopReason};
-use twpp::obs::Obs;
 use twpp::TsSet;
 use twpp_ir::Function;
 
@@ -183,43 +182,8 @@ pub fn solve_backward_governed<F: GenKillFact + ?Sized>(
     ts: &TsSet,
     budget: &Budget,
 ) -> QueryOutcome {
-    solve_backward_observed(dcfg, func, fact, node, ts, budget, &Obs::noop())
-}
-
-/// Observed variant of [`solve_backward_governed`]: additionally records
-/// the `twpp_dataflow_query_*` counters (queries issued, budget steps
-/// taken, partial answers) into `obs`. The outcome is identical.
-pub fn solve_backward_observed<F: GenKillFact + ?Sized>(
-    dcfg: &DynCfg,
-    func: &Function,
-    fact: &F,
-    node: usize,
-    ts: &TsSet,
-    budget: &Budget,
-    obs: &Obs,
-) -> QueryOutcome {
     let effects = node_effects(dcfg, func, fact);
-    let (outcome, visited) = solve_backward_effects_impl(dcfg, &effects, node, ts, budget);
-    if obs.is_enabled() {
-        obs.counter(
-            "twpp_dataflow_query_total",
-            "Backward GEN-KILL queries issued",
-        )
-        .inc();
-        obs.counter(
-            "twpp_dataflow_query_nodes_visited_total",
-            "Budget steps taken by backward queries (one per GEN/KILL projection and per queried series entry)",
-        )
-        .add(visited);
-        if !outcome.is_complete() {
-            obs.counter(
-                "twpp_dataflow_query_partial_total",
-                "Backward queries stopped early by a budget",
-            )
-            .inc();
-        }
-    }
-    outcome
+    solve_backward_effects_governed(dcfg, &effects, node, ts, budget)
 }
 
 /// Pre-computes each dynamic node's DGEN/DKILL summary for `fact` —
@@ -241,6 +205,15 @@ pub fn node_effects<F: GenKillFact + ?Sized>(
 /// come from block identities rather than statements) can run the same
 /// engine. `effects[i]` is node `i`'s summary; its length must equal
 /// `dcfg.nodes().len()`.
+///
+/// The engine is a sweep of the queried timestamps against the GEN/KILL
+/// projection of `dcfg`. Every position `1..=len` belongs to exactly one
+/// node (decoding rejects timestamp sets that do not partition the
+/// trace), so walking backwards from `t` meets the positions `t-1, t-2,
+/// …` in turn and stops at the first one whose node generates or kills
+/// the fact. That position is the nearest GEN or KILL position before
+/// `t`: a GEN means the fact holds, a KILL — or no such position at all
+/// — means it does not.
 pub fn solve_backward_effects_governed(
     dcfg: &DynCfg,
     effects: &[Effect],
@@ -249,29 +222,9 @@ pub fn solve_backward_effects_governed(
     budget: &Budget,
 ) -> QueryOutcome {
     assert_eq!(effects.len(), dcfg.nodes().len(), "one effect per dynamic node");
-    solve_backward_effects_impl(dcfg, effects, node, ts, budget).0
-}
-
-/// The served engine: a sweep of the queried timestamps against the
-/// GEN/KILL projection of `dcfg`. Returns the outcome and the budget
-/// steps taken.
-///
-/// Every position `1..=len` belongs to exactly one node (decoding rejects
-/// timestamp sets that do not partition the trace), so walking backwards
-/// from `t` meets the positions `t-1, t-2, …` in turn and stops at the
-/// first one whose node generates or kills the fact. That position is the
-/// nearest GEN or KILL position before `t`: a GEN means the fact holds,
-/// a KILL — or no such position at all — means it does not.
-fn solve_backward_effects_impl(
-    dcfg: &DynCfg,
-    effects: &[Effect],
-    node: usize,
-    ts: &TsSet,
-    budget: &Budget,
-) -> (QueryOutcome, u64) {
     let queried = ts.intersect(&dcfg.node(node).ts);
     if queried.is_empty() {
-        return (QueryOutcome::Complete(QueryResult::default()), 0);
+        return QueryOutcome::Complete(QueryResult::default());
     }
     let mut holds = Vec::new();
     let mut not_holds = Vec::new();
@@ -321,7 +274,7 @@ fn solve_backward_effects_impl(
         holds: TsSet::from_sorted(&holds),
         not_holds: TsSet::from_sorted(&not_holds),
     };
-    let outcome = match stop {
+    match stop {
         None => QueryOutcome::Complete(result),
         Some(reason) => QueryOutcome::Partial {
             result,
@@ -329,8 +282,7 @@ fn solve_backward_effects_impl(
             visited,
             reason,
         },
-    };
-    (outcome, visited)
+    }
 }
 
 /// The paper's backward propagation (§4.2), kept as the reference for
@@ -401,29 +353,18 @@ pub fn solve_by_replay<F: GenKillFact + ?Sized>(
     node: usize,
     ts: &TsSet,
 ) -> QueryResult {
-    match solve_by_replay_governed(dcfg, func, fact, node, ts, &Budget::unlimited()) {
+    let effects = node_effects(dcfg, func, fact);
+    match solve_by_replay_effects_governed(dcfg, &effects, node, ts, &Budget::unlimited()) {
         QueryOutcome::Complete(r) | QueryOutcome::Partial { result: r, .. } => r,
     }
 }
 
-/// Budget-governed variant of [`solve_by_replay`]: charges one step per
-/// queried timestamp (each costs a full prefix replay) and stops between
-/// timestamps when the budget runs out.
-pub fn solve_by_replay_governed<F: GenKillFact + ?Sized>(
-    dcfg: &DynCfg,
-    func: &Function,
-    fact: &F,
-    node: usize,
-    ts: &TsSet,
-    budget: &Budget,
-) -> QueryOutcome {
-    let effects = node_effects(dcfg, func, fact);
-    solve_by_replay_effects_governed(dcfg, &effects, node, ts, budget)
-}
-
-/// Core of [`solve_by_replay_governed`], parameterized by a per-node
-/// [`Effect`] vector — the replay oracle for effect-level queries, used
-/// to validate [`solve_backward_effects_governed`] differentially.
+/// Budget-governed core of [`solve_by_replay`], parameterized by a
+/// per-node [`Effect`] vector — the replay oracle for effect-level
+/// queries, used to validate [`solve_backward_effects_governed`]
+/// differentially. Charges one step per queried timestamp (each costs a
+/// full prefix replay) and stops between timestamps when the budget runs
+/// out.
 pub fn solve_by_replay_effects_governed(
     dcfg: &DynCfg,
     effects: &[Effect],
@@ -726,14 +667,8 @@ mod tests {
         let cancel = twpp::gov::CancelToken::new();
         cancel.cancel();
         let budget = twpp::gov::Limits::new().start_with_cancel(cancel);
-        let out = solve_by_replay_governed(
-            &dcfg,
-            func,
-            &fact,
-            n4,
-            &dcfg.node(n4).ts,
-            &budget,
-        );
+        let effects = node_effects(&dcfg, func, &fact);
+        let out = solve_by_replay_effects_governed(&dcfg, &effects, n4, &dcfg.node(n4).ts, &budget);
         match out {
             QueryOutcome::Partial {
                 reason, visited, ..

@@ -129,44 +129,11 @@ impl<'f> Slicer<'f> {
         approach: Approach,
         budget: &Budget,
     ) -> SliceOutcome {
-        self.slice_observed(criterion, approach, budget, &twpp::obs::Obs::noop())
-    }
-
-    /// Observed variant of [`Slicer::slice_governed`]: additionally
-    /// records the `twpp_dataflow_slice_*` counters (slices computed,
-    /// worklist items visited, partial slices) into `obs`. The outcome
-    /// is identical.
-    pub fn slice_observed(
-        &self,
-        criterion: Criterion,
-        approach: Approach,
-        budget: &Budget,
-        obs: &twpp::obs::Obs,
-    ) -> SliceOutcome {
         let (slice, visited, stopped) = match approach {
             Approach::ExecutedNodes => self.slice_executed_nodes(criterion, budget),
             Approach::ExecutedEdges => self.slice_executed_edges(criterion, budget),
             Approach::PreciseInstances => self.slice_precise(criterion, budget),
         };
-        if obs.is_enabled() {
-            obs.counter(
-                "twpp_dataflow_slice_total",
-                "Dynamic slices computed",
-            )
-            .inc();
-            obs.counter(
-                "twpp_dataflow_slice_visited_total",
-                "Worklist items visited by dynamic slicing",
-            )
-            .add(visited);
-            if stopped.is_some() {
-                obs.counter(
-                    "twpp_dataflow_slice_partial_total",
-                    "Slices stopped early by a budget",
-                )
-                .inc();
-            }
-        }
         match stopped {
             None => SliceOutcome::Complete(slice),
             Some(reason) => SliceOutcome::Partial {

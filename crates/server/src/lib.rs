@@ -18,7 +18,7 @@
 //! * [`fleet`] — tenant registry: scan/rescan of the fleet root, the
 //!   shared frame cache and the answer-summary cache, with per-uid
 //!   invalidation when archives change or vanish.
-//! * [`serve`] — the daemon: accept loop, per-connection workers,
+//! * [`serve`](mod@serve) — the daemon: accept loop, per-connection workers,
 //!   admission control (`Busy`), per-request budgets, quarantine of
 //!   garbage connections, and the `/metrics`–`/status`–`/healthz`
 //!   admin plane; plus [`InProcServer`] for socket-free testing.

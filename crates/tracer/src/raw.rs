@@ -412,7 +412,7 @@ impl RawWpp {
 /// Feed chunks with [`WppStream::push`]; decoded events are appended to
 /// the caller's vector as soon as they are unambiguous. Because the
 /// `WPPZ` footer magic also decodes as a valid `Enter` event, the parser
-/// holds back the last [`FOOTER_WORDS`] words until [`WppStream::finish`]
+/// holds back the last three words (the footer's length) until [`WppStream::finish`]
 /// resolves whether they are the footer or trailing events — so the
 /// emitted prefix never contains footer words, and the two entry points
 /// classify every malformed stream identically (asserted by tests).

@@ -7,7 +7,7 @@
 //! cargo run --release --example hot_paths
 //! ```
 
-use twpp_repro::twpp::{compact_with_stats, TwppArchive};
+use twpp_repro::twpp::{compact_governed, GovOptions, TwppArchive};
 use twpp_repro::twpp_workloads::{generate, Profile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         workload.wpp.byte_len()
     );
 
-    let (compacted, stats) = compact_with_stats(&workload.wpp)?;
+    let (compacted, stats) = compact_governed(&workload.wpp, &GovOptions::default())?;
     println!(
         "compacted to {} bytes (x{:.1})",
         stats.total_compacted_bytes(),

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use twpp_repro::twpp::{compact_with_stats, TwppArchive};
+use twpp_repro::twpp::{compact_governed, GovOptions, TwppArchive};
 use twpp_repro::twpp_lang;
 use twpp_repro::twpp_tracer::{run_traced, ExecLimits};
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Compact: partition into per-call path traces + dynamic call
     //    graph, eliminate redundant traces, build DBB dictionaries, and
     //    timestamp (Zhang & Gupta, PLDI 2001).
-    let (compacted, stats) = compact_with_stats(&wpp)?;
+    let (compacted, stats) = compact_governed(&wpp, &GovOptions::default())?;
     println!("\ncompaction stages (bytes):");
     println!("  original traces    : {}", stats.owpp_trace_bytes);
     println!(

@@ -3,8 +3,6 @@
 //! of the input hashes like one call, and that a flipped bit in a saved
 //! archive frame is caught on the lazy read path.
 
-use std::collections::HashMap;
-
 use twpp_repro::twpp::lazy::LazyArchive;
 use twpp_repro::twpp::{compact, ArchiveError, TwppArchive};
 use twpp_repro::twpp_ir::checksum::{crc32, Crc32};
@@ -60,7 +58,7 @@ fn flipped_bit_in_a_saved_frame_fails_the_lazy_read() {
     }
     events.push(WppEvent::Exit);
     let compacted = compact(&RawWpp::from_events(&events)).expect("sample WPP compacts");
-    let archive = TwppArchive::from_compacted_named(&compacted, &HashMap::new());
+    let archive = TwppArchive::from_compacted(&compacted);
     let mut bytes = archive.as_bytes().to_vec();
 
     let (_, report) = TwppArchive::recover(&bytes).expect("clean archive recovers");

@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 
 use twpp_repro::twpp::archive::encode_v2_named;
 use twpp_repro::twpp::{
-    compact, compact_governed, ArchiveError, Budget, Compactor, Durability, FaultPlan,
+    compact, compact_governed, ArchiveError, Budget, Codec, Compactor, Durability, FaultPlan,
     GovOptions, IngestOptions, LazyArchive, Obs, TwppArchive,
 };
 use twpp_repro::twpp_ir::FuncId;
@@ -57,7 +57,8 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
 
     // Clean v3.
     let compacted = compact(&wpp).expect("corpus compacts");
-    let v3 = TwppArchive::from_compacted_named_with_threads(&compacted, &names, 1);
+    let noop = Obs::noop();
+    let v3 = TwppArchive::from_compacted_codec(&compacted, &names, 1, &[], &noop, Codec::Legacy);
     let v3_bytes = v3.as_bytes().to_vec();
 
     // Legacy v2 layout.
@@ -77,11 +78,13 @@ fn build_corpus() -> Vec<(&'static str, Vec<u8>)> {
     let (degraded_c, stats) = compact_governed(&wpp, &options).expect("degraded run completes");
     std::panic::set_hook(prev);
     assert_eq!(stats.degraded.len(), 1, "exactly f degrades");
-    let degraded = TwppArchive::from_compacted_governed(
+    let degraded = TwppArchive::from_compacted_codec(
         &degraded_c,
         &names,
         1,
         &stats.degraded.failed,
+        &Obs::noop(),
+        Codec::Legacy,
     );
     let degraded_bytes = degraded.as_bytes().to_vec();
 
@@ -439,7 +442,7 @@ fn resume_and_finish_fixture(fixture: &str) {
 
     let wpp = twpp_repro::twpp_tracer::RawWpp::from_events(&events);
     let compacted = compact(&wpp).expect("batch compaction");
-    let batch = TwppArchive::from_compacted_named_with_threads(&compacted, &HashMap::new(), 1);
+    let batch = TwppArchive::from_compacted(&compacted);
     assert_eq!(
         std::fs::read(&finish.path).expect("merged archive"),
         batch.as_bytes(),

@@ -2,7 +2,7 @@
 //! compaction → archive → per-function queries, verified against ground
 //! truth at every step.
 
-use twpp_repro::twpp::{compact, compact_with_stats, partition, TwppArchive};
+use twpp_repro::twpp::{compact, compact_governed, partition, GovOptions, TwppArchive};
 use twpp_repro::twpp_lang::{self, programs, LowerOptions};
 use twpp_repro::twpp_tracer::{run_traced, ExecLimits, RawWpp};
 
@@ -15,7 +15,7 @@ fn trace_program(src: &str, input: &[i64]) -> (twpp_repro::twpp_ir::Program, Raw
 #[test]
 fn figure1_program_full_pipeline() {
     let (program, wpp) = trace_program(programs::FIGURE1, &[]);
-    let (compacted, stats) = compact_with_stats(&wpp).unwrap();
+    let (compacted, stats) = compact_governed(&wpp, &GovOptions::default()).unwrap();
 
     // f is called 5 times but follows only 2 unique paths (even/odd arg).
     let (f_id, _) = program.func_by_name("f").unwrap();

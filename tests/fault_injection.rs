@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-use twpp_repro::twpp::{compact, FunctionRecord, LazyArchive, TwppArchive};
+use twpp_repro::twpp::{compact, Codec, FunctionRecord, LazyArchive, Obs, TwppArchive};
 use twpp_repro::twpp_ir::{BlockId, FuncId};
 use twpp_repro::twpp_tracer::{RawWpp, WppEvent};
 
@@ -48,7 +48,7 @@ fn build_archive() -> TwppArchive {
     let names: HashMap<FuncId, String> = (0..4)
         .map(|i| (FuncId::from_index(i), format!("fn{i}")))
         .collect();
-    TwppArchive::from_compacted_named(&compacted, &names)
+    TwppArchive::from_compacted_codec(&compacted, &names, 1, &[], &Obs::noop(), Codec::Legacy)
 }
 
 /// Reference records, read from the pristine archive.

@@ -8,8 +8,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use twpp_repro::twpp::{
-    compact_governed, compact_with_stats_threads, Budget, CancelToken, CompactOptions, FaultPlan,
-    GovOptions, Limits, PipelineError, StopReason, TwppArchive,
+    compact, compact_governed, Budget, CancelToken, Codec, CompactedTwpp, FailedFunction,
+    FaultPlan, GovOptions, Limits, Obs, PipelineError, StopReason, TwppArchive,
 };
 use twpp_repro::twpp_dataflow::dyncfg::DynCfg;
 use twpp_repro::twpp_dataflow::redundancy::loads_in;
@@ -19,6 +19,13 @@ use twpp_repro::twpp_dataflow::{
 use twpp_repro::twpp_ir::{FuncId, Operand, Program};
 use twpp_repro::twpp_lang::{compile_with_options, programs, LowerOptions};
 use twpp_repro::twpp_tracer::{run_traced, ExecLimits, RawWpp};
+
+/// `c` encoded without names on `threads` workers, with a sentinel for
+/// each `failed` function.
+fn encode(c: &CompactedTwpp, threads: usize, failed: &[FailedFunction]) -> TwppArchive {
+    let noop = Obs::noop();
+    TwppArchive::from_compacted_codec(c, &HashMap::new(), threads, failed, &noop, Codec::Legacy)
+}
 
 /// Silences the default panic hook around `f` so deliberately injected
 /// panics don't spam test output, restoring it afterwards.
@@ -49,9 +56,7 @@ const MULTI_FN: &str = "fn f(x) { if (x % 2 == 0) { print(x); } else { print(0 -
 #[test]
 fn injected_panic_yields_degraded_but_valid_archive() {
     let (_, wpp) = traced(MULTI_FN, &[]);
-    let baseline = compact_with_stats_threads(&wpp, CompactOptions { threads: Some(2) })
-        .expect("baseline compaction")
-        .0;
+    let baseline = compact(&wpp).expect("baseline compaction");
     let victim = FuncId::from_u32(1);
 
     for threads in [1usize, 4] {
@@ -73,12 +78,7 @@ fn injected_panic_yields_degraded_but_valid_archive() {
 
         // The archive carries every surviving function, byte-for-byte
         // equal to the baseline's view of those functions.
-        let archive = TwppArchive::from_compacted_governed(
-            &compacted,
-            &HashMap::new(),
-            threads,
-            &stats.degraded.failed,
-        );
+        let archive = encode(&compacted, threads, &stats.degraded.failed);
         assert!(archive.is_degraded());
         assert_eq!(archive.failed_functions().len(), 1);
         assert_eq!(archive.failed_functions()[0].0, victim);
@@ -183,8 +183,7 @@ fn exhausted_budget_stops_compaction_with_no_output() {
 #[test]
 fn governed_output_is_byte_identical_without_faults() {
     let (_, wpp) = traced(MULTI_FN, &[]);
-    let (legacy, _) = compact_with_stats_threads(&wpp, CompactOptions { threads: Some(1) })
-        .expect("legacy compaction");
+    let legacy = compact(&wpp).expect("legacy compaction");
     let legacy_bytes = TwppArchive::from_compacted(&legacy).as_bytes().to_vec();
 
     for threads in 1..=8usize {
@@ -199,14 +198,9 @@ fn governed_output_is_byte_identical_without_faults() {
             let (compacted, stats) =
                 compact_governed(&wpp, &options).expect("governed compaction");
             assert!(stats.degraded.is_empty());
-            let bytes = TwppArchive::from_compacted_governed(
-                &compacted,
-                &HashMap::new(),
-                threads,
-                &stats.degraded.failed,
-            )
-            .as_bytes()
-            .to_vec();
+            let bytes = encode(&compacted, threads, &stats.degraded.failed)
+                .as_bytes()
+                .to_vec();
             assert_eq!(
                 bytes, legacy_bytes,
                 "threads={threads} fail_fast={fail_fast} diverged from legacy output"

@@ -19,7 +19,6 @@
 //!   still resume behind raw windows, and a directory mixing the two
 //!   kinds for one segment is refused.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -58,9 +57,7 @@ fn events() -> Vec<WppEvent> {
 
 fn batch_bytes(events: &[WppEvent]) -> Vec<u8> {
     let compacted = compact(&RawWpp::from_events(events)).expect("batch compaction");
-    TwppArchive::from_compacted_named_with_threads(&compacted, &HashMap::new(), 1)
-        .as_bytes()
-        .to_vec()
+    TwppArchive::from_compacted(&compacted).as_bytes().to_vec()
 }
 
 fn opts(seal_bytes: u64) -> IngestOptions {

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use twpp_repro::twpp::{
-    archive::encode_v2_named, compact_with_stats_threads, ArchiveWriter, CompactOptions,
-    TwppArchive,
+    archive::encode_v2_named, compact_governed, ArchiveWriter, Codec, CompactedTwpp, GovOptions,
+    Obs, TwppArchive,
 };
 use twpp_repro::twpp_ir::FuncId;
 use twpp_repro::twpp_tracer::RawWpp;
@@ -24,6 +24,20 @@ fn workload_wpp(profile: Profile, seed: u64) -> RawWpp {
     let mut spec = profile.spec().scaled(0.003);
     spec.seed ^= seed;
     generate(&spec).wpp
+}
+
+/// Default pipeline options pinned to `threads` workers.
+fn on_threads(threads: usize) -> GovOptions {
+    GovOptions {
+        threads: Some(threads),
+        ..GovOptions::default()
+    }
+}
+
+/// `c` encoded without names on `threads` workers, unobserved.
+fn encode(c: &CompactedTwpp, threads: usize) -> TwppArchive {
+    let noop = Obs::noop();
+    TwppArchive::from_compacted_codec(c, &HashMap::new(), threads, &[], &noop, Codec::Legacy)
 }
 
 fn profile_strategy() -> impl Strategy<Value = Profile> {
@@ -47,13 +61,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let wpp = workload_wpp(profile, seed);
-        let (seq, seq_stats) =
-            compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
-        let seq_bytes = TwppArchive::from_compacted_named_with_threads(&seq, &HashMap::new(), 1);
+        let (seq, seq_stats) = compact_governed(&wpp, &on_threads(1)).unwrap();
+        let seq_bytes = encode(&seq, 1);
         prop_assert!(seq.functions.len() > 1, "workload must be multi-function");
         for threads in 2..=8usize {
-            let (par, par_stats) =
-                compact_with_stats_threads(&wpp, CompactOptions::with_threads(threads)).unwrap();
+            let (par, par_stats) = compact_governed(&wpp, &on_threads(threads)).unwrap();
             prop_assert_eq!(&par, &seq, "compact diverged at {} threads", threads);
             // Size accounting is scheduling-independent too.
             prop_assert_eq!(par_stats.after_dict_bytes, seq_stats.after_dict_bytes);
@@ -61,8 +73,7 @@ proptest! {
             prop_assert_eq!(&par_stats.redundancy, &seq_stats.redundancy);
             // And the archive encoded from the parallel result is
             // byte-identical.
-            let par_bytes =
-                TwppArchive::from_compacted_named_with_threads(&par, &HashMap::new(), threads);
+            let par_bytes = encode(&par, threads);
             prop_assert_eq!(par_bytes.as_bytes(), seq_bytes.as_bytes());
         }
     }
@@ -76,7 +87,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let wpp = workload_wpp(profile, seed);
-        let (c, _) = compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
+        let (c, _) = compact_governed(&wpp, &on_threads(1)).unwrap();
         let names: HashMap<FuncId, String> = c
             .functions
             .iter()
@@ -92,7 +103,7 @@ proptest! {
 
         for threads in 1..=8usize {
             let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, &names).unwrap();
-            w.add_functions(&c.functions, threads).unwrap();
+            w.add_functions(&c.functions, threads, &Obs::noop()).unwrap();
             let parallel = w.finish().unwrap();
             prop_assert_eq!(&parallel, &sequential, "writer diverged at {} threads", threads);
         }
@@ -108,8 +119,8 @@ proptest! {
         cut_words in 1usize..8,
     ) {
         let wpp = workload_wpp(profile, seed);
-        let (c, _) = compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
-        let committed = TwppArchive::from_compacted_named_with_threads(&c, &HashMap::new(), 1);
+        let (c, _) = compact_governed(&wpp, &on_threads(1)).unwrap();
+        let committed = encode(&c, 1);
         let v2 = encode_v2_named(&c, &HashMap::new()).unwrap();
         // An interrupted write: drop the footer and some trailing bytes so
         // salvage must scan for frames.
@@ -117,10 +128,10 @@ proptest! {
 
         for input in [committed.as_bytes(), &v2, torn] {
             let (seq_archive, seq_report) =
-                TwppArchive::recover_with_threads(input, 1).unwrap();
+                TwppArchive::recover_observed(input, 1, &Obs::noop()).unwrap();
             for threads in 2..=8usize {
                 let (par_archive, par_report) =
-                    TwppArchive::recover_with_threads(input, threads).unwrap();
+                    TwppArchive::recover_observed(input, threads, &Obs::noop()).unwrap();
                 prop_assert_eq!(&par_report, &seq_report, "report diverged at {} threads", threads);
                 prop_assert_eq!(
                     par_archive.as_bytes(),
@@ -139,7 +150,7 @@ proptest! {
 #[test]
 fn default_thread_resolution_matches_explicit() {
     let wpp = workload_wpp(Profile::Li, 7);
-    let (default_out, _) = compact_with_stats_threads(&wpp, CompactOptions::default()).unwrap();
-    let (one, _) = compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
+    let (default_out, _) = compact_governed(&wpp, &GovOptions::default()).unwrap();
+    let (one, _) = compact_governed(&wpp, &on_threads(1)).unwrap();
     assert_eq!(default_out, one);
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use twpp_repro::twpp::{
-    compact_trace, compact_with_stats, lzw, partition, PathTrace, TimestampedTrace, TsSet,
-    TsSetError, TwppArchive,
+    compact_governed, compact_trace, lzw, partition, GovOptions, PathTrace, TimestampedTrace,
+    TsSet, TsSetError, TwppArchive,
 };
 use twpp_repro::twpp_ir::{BlockId, FuncId};
 use twpp_repro::twpp_sequitur::Grammar;
@@ -82,7 +82,7 @@ proptest! {
 
     #[test]
     fn full_pipeline_is_lossless(wpp in wpp_strategy(64)) {
-        let (compacted, stats) = compact_with_stats(&wpp).unwrap();
+        let (compacted, stats) = compact_governed(&wpp, &GovOptions::default()).unwrap();
         prop_assert_eq!(compacted.reconstruct(), wpp);
         // Sizes only shrink through the trace stages.
         prop_assert!(stats.after_dedup_bytes <= stats.owpp_trace_bytes);
@@ -91,7 +91,7 @@ proptest! {
 
     #[test]
     fn archive_round_trip(wpp in wpp_strategy(48)) {
-        let (compacted, _) = compact_with_stats(&wpp).unwrap();
+        let (compacted, _) = compact_governed(&wpp, &GovOptions::default()).unwrap();
         let archive = TwppArchive::from_compacted(&compacted);
         let back = TwppArchive::from_bytes(archive.as_bytes().to_vec()).unwrap();
         prop_assert_eq!(back.to_compacted().unwrap(), compacted);
@@ -99,7 +99,7 @@ proptest! {
 
     #[test]
     fn archive_function_reads_match_scans(wpp in wpp_strategy(48)) {
-        let (compacted, _) = compact_with_stats(&wpp).unwrap();
+        let (compacted, _) = compact_governed(&wpp, &GovOptions::default()).unwrap();
         let archive = TwppArchive::from_compacted(&compacted);
         for func in archive.function_ids() {
             let record = archive.read_function(func).unwrap();

@@ -1,7 +1,7 @@
 //! Integration tests over the synthetic benchmark workloads: the paper's
 //! whole evaluation machinery at a reduced scale.
 
-use twpp_repro::twpp::{compact_with_stats, TwppArchive};
+use twpp_repro::twpp::{compact_governed, GovOptions, TwppArchive};
 use twpp_repro::twpp_sequitur;
 use twpp_repro::twpp_workloads::{generate, Profile};
 
@@ -9,7 +9,7 @@ use twpp_repro::twpp_workloads::{generate, Profile};
 fn every_profile_compacts_losslessly() {
     for profile in Profile::all() {
         let w = generate(&profile.spec().scaled(0.01));
-        let (compacted, stats) = compact_with_stats(&w.wpp).unwrap();
+        let (compacted, stats) = compact_governed(&w.wpp, &GovOptions::default()).unwrap();
         assert_eq!(
             compacted.reconstruct(),
             w.wpp,
@@ -23,7 +23,7 @@ fn every_profile_compacts_losslessly() {
 #[test]
 fn archive_answers_match_scans_on_a_workload() {
     let w = generate(&Profile::Li.spec().scaled(0.01));
-    let (compacted, _) = compact_with_stats(&w.wpp).unwrap();
+    let (compacted, _) = compact_governed(&w.wpp, &GovOptions::default()).unwrap();
     let archive = TwppArchive::from_compacted(&compacted);
     // The layout is hottest-first.
     let ids = archive.function_ids();
@@ -57,7 +57,7 @@ fn sequitur_baseline_agrees_on_a_workload() {
     // Grammars of redundant traces are much smaller than the input.
     assert!(grammar.symbol_count() * 4 < w.wpp.byte_len() / 4);
     let rules = grammar.to_rules();
-    let (compacted, _) = compact_with_stats(&w.wpp).unwrap();
+    let (compacted, _) = compact_governed(&w.wpp, &GovOptions::default()).unwrap();
     let hottest = compacted.functions[0].func;
     assert_eq!(
         twpp_sequitur::extract_function(&rules, hottest),
@@ -68,7 +68,7 @@ fn sequitur_baseline_agrees_on_a_workload() {
 #[test]
 fn redundancy_statistics_are_consistent() {
     let w = generate(&Profile::Ijpeg.spec().scaled(0.01));
-    let (compacted, stats) = compact_with_stats(&w.wpp).unwrap();
+    let (compacted, stats) = compact_governed(&w.wpp, &GovOptions::default()).unwrap();
     // Stats call counts agree with the DCG.
     let total_from_stats = stats.redundancy.total_calls();
     let total_from_dcg = compacted.dcg.node_count() as u64;
@@ -92,7 +92,10 @@ fn profiles_reproduce_the_papers_orderings() {
     // most compactable, go the least.
     let factor = |p: Profile| {
         let w = generate(&p.spec().scaled(0.02));
-        compact_with_stats(&w.wpp).unwrap().1.overall_factor()
+        compact_governed(&w.wpp, &GovOptions::default())
+            .unwrap()
+            .1
+            .overall_factor()
     };
     let go = factor(Profile::Go);
     let perl = factor(Profile::Perl);
