@@ -60,6 +60,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use twpp::daemon::ServeListener;
 use twpp::ingest::SegmentVerdict;
 use twpp::obs::BudgetSection;
 use twpp::{ArchiveError, GovOptions, Obs, PipelineStats, RunOutcome, RunReport, TwppArchive};
@@ -1062,7 +1063,32 @@ pub fn run_command(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
             )));
         }
     }
+    // Flags a verb reads in one of its modes but not in another.
+    let mode_ignores: Option<(&[&str], &str)> = match positional.as_slice() {
+        ["query" | "slice" | "currency", ..] if remote.is_some() => {
+            Some((OBSERVABILITY, "with `--remote`"))
+        }
+        ["fsck", path] if Path::new(path).is_dir() => Some((
+            &["--repair", "-o", "--output", "--threads"],
+            "on an ingest directory",
+        )),
+        _ => None,
+    };
+    if let Some((ignored, mode)) = mode_ignores {
+        if let Some(flag) = given.iter().find(|f| ignored.contains(f)) {
+            return Err(CliError::Usage(format!(
+                "`{verb}` does not take `{flag}` {mode}"
+            )));
+        }
+    }
     let usage = || CliError::Usage(USAGE.to_owned());
+    let daemon = DaemonFlags {
+        listen: listen.unwrap_or_else(|| "tcp:127.0.0.1:0".into()),
+        port_file,
+        admin: admin.clone(),
+        admin_port_file,
+        drain_after_ms,
+    };
     let retry_policy = |default_attempts: u32| {
         twpp::Retry::new(
             retry_attempts.unwrap_or(default_attempts),
@@ -1113,30 +1139,24 @@ pub fn run_command(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
                 out,
             )
         }
-        ["serve-ingest", dir] => cmd_serve_ingest(
-            Path::new(dir),
-            ServeFlags {
-                listen: listen.unwrap_or_else(|| "tcp:127.0.0.1:0".into()),
-                port_file,
-                drain_after_ms,
+        ["serve-ingest", dir] => {
+            let seal_bytes = seal_bytes.unwrap_or(1 << 20);
+            let opts = twpp::ingest::ServeOptions {
                 seal_bytes,
                 seal_ms,
                 durability: durability.unwrap_or(twpp::Durability::Sync),
-                codec: codec.unwrap_or_default(),
                 threads,
                 limits,
-                degrade,
-                window_cap,
-                wedge_ms,
+                fail_fast: !degrade,
                 retry: retry_policy(5),
+                window_cap_bytes: window_cap.unwrap_or(4 * seal_bytes),
+                wedge_ms: wedge_ms.unwrap_or(10_000),
+                codec: codec.unwrap_or_default(),
                 tails,
-                admin,
-                admin_port_file,
-                log_out,
-            },
-            &obs_files,
-            out,
-        ),
+                ..twpp::ingest::ServeOptions::default()
+            };
+            cmd_serve_ingest(Path::new(dir), daemon, log_out, opts, &obs_files, out)
+        }
         ["status", addr] => cmd_status(addr, json, watch, out),
         ["metrics-check", target] => cmd_metrics_check(target, out),
         ["net-feed", addr] => {
@@ -1204,24 +1224,19 @@ pub fn run_command(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
                 ),
             }
         }
-        ["serve", dir] => cmd_serve(
-            Path::new(dir),
-            QueryServeFlags {
-                listen: listen.unwrap_or_else(|| "tcp:127.0.0.1:0".into()),
-                port_file,
-                admin,
-                admin_port_file,
-                drain_after_ms,
+        ["serve", dir] => {
+            let defaults = twpp_server::ServeOptions::default();
+            let opts = twpp_server::ServeOptions {
                 default_deadline_ms: default_deadline_ms.unwrap_or(0),
-                rescan_ms,
-                max_inflight,
+                rescan_ms: rescan_ms.unwrap_or(defaults.rescan_ms),
+                max_inflight: max_inflight.unwrap_or(defaults.max_inflight),
                 cache_answers: !no_cache,
-                frame_cache_bytes,
-                summary_cache_bytes,
-            },
-            &obs_files,
-            out,
-        ),
+                frame_cache_bytes: frame_cache_bytes.unwrap_or(defaults.frame_cache_bytes),
+                summary_cache_bytes: summary_cache_bytes.unwrap_or(defaults.summary_cache_bytes),
+                ..defaults
+            };
+            cmd_serve(Path::new(dir), daemon, opts, &obs_files, out)
+        }
         ["serve-bench", addr] => cmd_serve_bench(
             addr,
             clients.unwrap_or(4),
@@ -1683,25 +1698,59 @@ fn stream_stdin_ingest(
     Ok(())
 }
 
-/// `serve-ingest` flags, bundled like [`IngestFlags`].
-struct ServeFlags {
+/// The `DAEMON` flag group both daemons read.
+struct DaemonFlags {
     listen: String,
     port_file: Option<PathBuf>,
-    drain_after_ms: Option<u64>,
-    seal_bytes: Option<u64>,
-    seal_ms: Option<u64>,
-    durability: twpp::Durability,
-    codec: twpp::Codec,
-    threads: Option<usize>,
-    limits: twpp::Limits,
-    degrade: bool,
-    window_cap: Option<u64>,
-    wedge_ms: Option<u64>,
-    retry: twpp::Retry,
-    tails: Vec<PathBuf>,
     admin: Option<String>,
     admin_port_file: Option<PathBuf>,
-    log_out: Option<PathBuf>,
+    drain_after_ms: Option<u64>,
+}
+
+impl DaemonFlags {
+    /// Binds `--listen` and `--admin`, writes each bound address to its
+    /// port file, prints the admin line, and starts the watcher that
+    /// cancels the returned token on SIGTERM/SIGINT or once
+    /// `--drain-after-ms` has passed.
+    fn bind(
+        &self,
+        out: &mut Out<'_>,
+    ) -> Result<(ServeListener, Option<ServeListener>, twpp::CancelToken), CliError> {
+        let bind = |spec: &str, port_file: &Option<PathBuf>| {
+            let listener = ServeListener::bind(spec)
+                .map_err(|e| fail(format!("{spec}: {e}")))?;
+            let addr = listener.local_addr();
+            if let Some(p) = port_file {
+                // The port file is how test harnesses learn an ephemeral
+                // port; write it only once the socket actually listens.
+                fs::write(p, &addr).map_err(|e| fail(format!("{}: {e}", p.display())))?;
+            }
+            Ok::<_, CliError>((listener, addr))
+        };
+        let (listener, _) = bind(&self.listen, &self.port_file)?;
+        let admin = match &self.admin {
+            Some(spec) => {
+                let (admin, admin_addr) = bind(spec, &self.admin_port_file)?;
+                writeln!(out, "admin plane on {admin_addr} (/metrics /status /healthz)")?;
+                Some(admin)
+            }
+            None => None,
+        };
+        let shutdown = twpp::CancelToken::new();
+        let token = shutdown.clone();
+        let deadline = self.drain_after_ms;
+        let started = std::time::Instant::now();
+        std::thread::spawn(move || loop {
+            if shutdown_requested()
+                || deadline.is_some_and(|ms| started.elapsed().as_millis() as u64 >= ms)
+            {
+                token.cancel();
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        });
+        Ok((listener, admin, shutdown))
+    }
 }
 
 /// Size at which `--log-out` rotates to its `.1` sibling.
@@ -1729,10 +1778,14 @@ pub fn shutdown_requested() -> bool {
 /// daemon (DESIGN.md §17). Runs until SIGTERM/SIGINT, a client `Drain`
 /// frame, or `--drain-after-ms`; then seals and merges every source.
 /// Exit 0 when every source drained clean, 3 when some source was
-/// failed in isolation, 4 on daemon-level failure.
+/// failed in isolation, 4 on daemon-level failure. `opts` carries the
+/// flag-derived settings; the observer, fault plan, logger and flight
+/// recorder are filled in here.
 fn cmd_serve_ingest(
     dir: &Path,
-    flags: ServeFlags,
+    daemon: DaemonFlags,
+    log_out: Option<PathBuf>,
+    opts: twpp::ingest::ServeOptions,
     obs_files: &ObsFiles,
     out: &mut Out<'_>,
 ) -> Result<(), CliError> {
@@ -1740,35 +1793,12 @@ fn cmd_serve_ingest(
     // --admin (like any --*-out artifact) switches the observer from
     // noop to collecting. Without it the daemon stays byte-identical
     // to an uninstrumented build.
-    let telemetry = flags.admin.is_some() || flags.log_out.is_some();
-    let obs = if telemetry && !obs_files.enabled() {
-        Obs::collecting()
-    } else {
-        obs_files.observer()
-    };
+    let telemetry = daemon.admin.is_some() || log_out.is_some();
+    let obs = if telemetry { Obs::collecting() } else { obs_files.observer() };
     let faults = twpp::FaultPlan::from_env();
-    let listener = twpp::ingest::ServeListener::bind(&flags.listen)
-        .map_err(|e| fail(format!("{}: {e}", flags.listen)))?;
+    let (listener, admin, shutdown) = daemon.bind(out)?;
     let addr = listener.local_addr();
-    if let Some(p) = &flags.port_file {
-        // The port file is how test harnesses learn an ephemeral port;
-        // write it only once the socket actually listens.
-        fs::write(p, &addr).map_err(|e| fail(format!("{}: {e}", p.display())))?;
-    }
-    let admin_listener = match &flags.admin {
-        Some(spec) => {
-            let l = twpp::ingest::ServeListener::bind(spec)
-                .map_err(|e| fail(format!("{spec}: {e}")))?;
-            let admin_addr = l.local_addr();
-            if let Some(p) = &flags.admin_port_file {
-                fs::write(p, &admin_addr).map_err(|e| fail(format!("{}: {e}", p.display())))?;
-            }
-            writeln!(out, "admin plane on {admin_addr} (/metrics /status /healthz)")?;
-            Some(l)
-        }
-        None => None,
-    };
-    let log = match &flags.log_out {
+    let log = match &log_out {
         Some(p) => twpp::Logger::to_file(p, LOG_ROTATE_BYTES, twpp::LogLevel::Info)
             .map_err(|e| fail(format!("{}: {e}", p.display())))?,
         None => twpp::Logger::noop(),
@@ -1793,39 +1823,12 @@ fn cmd_serve_ingest(
         None
     };
     writeln!(out, "listening on {addr} (drain with SIGTERM)")?;
-    let shutdown = twpp::CancelToken::new();
-    {
-        let token = shutdown.clone();
-        let deadline = flags.drain_after_ms;
-        let started = std::time::Instant::now();
-        std::thread::spawn(move || loop {
-            if shutdown_requested()
-                || deadline.is_some_and(|ms| started.elapsed().as_millis() as u64 >= ms)
-            {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        });
-    }
-    let seal_bytes = flags.seal_bytes.unwrap_or(1 << 20);
     let opts = twpp::ingest::ServeOptions {
-        seal_bytes,
-        seal_ms: flags.seal_ms,
-        durability: flags.durability,
-        threads: flags.threads,
-        limits: flags.limits,
-        fail_fast: !flags.degrade,
-        retry: flags.retry,
-        window_cap_bytes: flags.window_cap.unwrap_or(4 * seal_bytes),
-        wedge_ms: flags.wedge_ms.unwrap_or(10_000),
         faults: faults.clone(),
         obs: obs.clone(),
-        codec: flags.codec,
-        tails: flags.tails,
-        log: log.clone(),
-        flightrec: flightrec.clone(),
-        ..twpp::ingest::ServeOptions::default()
+        log,
+        flightrec,
+        ..opts
     };
     // While the daemon runs, --report holds a live heartbeat: the same
     // schema-v1 run report with outcome "running" and a fresh metrics
@@ -1856,7 +1859,7 @@ fn cmd_serve_ingest(
             }
         })
     });
-    let served = twpp::ingest::serve_with_admin(dir, listener, admin_listener, shutdown, opts);
+    let served = twpp::ingest::serve_with_admin(dir, listener, admin, shutdown, opts);
     heartbeat_stop.store(true, std::sync::atomic::Ordering::SeqCst);
     if let Some(h) = heartbeat {
         h.join().ok();
@@ -1930,53 +1933,33 @@ fn cmd_net_feed(
     };
     let events = wpp.events();
 
-    fn feed_client<S: std::io::Read + std::io::Write>(
-        stream: S,
-        source: &str,
-        events: &[twpp_tracer::WppEvent],
-        drain: bool,
-        chunk_events: usize,
-        retry: &twpp::Retry,
-    ) -> Result<u64, twpp::net::NetError> {
-        let mut client = twpp::net::Client::hello(stream, source)?;
-        let skip = (client.accepted() as usize).min(events.len());
-        for batch in events[skip..].chunks(chunk_events) {
-            client.send_events(batch, retry)?;
-        }
-        let accepted = client.accepted();
-        if drain {
-            client.drain()?;
-        }
-        Ok(accepted)
-    }
-
     let net_err = |e: twpp::net::NetError| fail(format!("{addr}: {e}"));
-    let accepted = if let Some(path) = addr.strip_prefix("unix:") {
-        #[cfg(unix)]
-        {
-            let stream = std::os::unix::net::UnixStream::connect(path)
-                .map_err(|e| fail(format!("{addr}: {e}")))?;
-            feed_client(stream, source, &events, drain, chunk_events, &retry).map_err(net_err)?
-        }
-        #[cfg(not(unix))]
-        {
-            return Err(fail(format!(
-                "unix sockets are not supported on this platform: {path}"
-            )));
-        }
-    } else {
-        let hostport = addr.strip_prefix("tcp:").unwrap_or(addr);
-        let stream = std::net::TcpStream::connect(hostport)
-            .map_err(|e| fail(format!("{addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        feed_client(stream, source, &events, drain, chunk_events, &retry).map_err(net_err)?
-    };
+    let stream = twpp::daemon::connect(addr).map_err(fail)?;
+    let mut client = twpp::net::Client::hello(stream, source).map_err(net_err)?;
+    let skip = (client.accepted() as usize).min(events.len());
+    for batch in events[skip..].chunks(chunk_events) {
+        client.send_events(batch, &retry).map_err(net_err)?;
+    }
+    let accepted = client.accepted();
+    if drain {
+        client.drain().map_err(net_err)?;
+    }
     writeln!(
         out,
         "{addr}: source {source} at {accepted} durable event(s){}",
         if drain { ", drain requested" } else { "" }
     )?;
     Ok(())
+}
+
+/// Fetches `path` from a daemon's admin plane; anything but HTTP 200 is
+/// a failure.
+fn admin_get(addr: &str, path: &str) -> Result<String, CliError> {
+    match twpp::net::http_get(addr, path) {
+        Ok((200, body)) => Ok(body),
+        Ok((code, _)) => Err(fail(format!("{addr}: {path} returned HTTP {code}"))),
+        Err(e) => Err(fail(format!("{addr}: {e}"))),
+    }
 }
 
 /// Pulls a required field out of a `/status` object.
@@ -2010,11 +1993,7 @@ fn cmd_status(
     out: &mut Out<'_>,
 ) -> Result<(), CliError> {
     loop {
-        let (code, body) =
-            twpp::net::http_get(addr, "/status").map_err(|e| fail(format!("{addr}: {e}")))?;
-        if code != 200 {
-            return Err(fail(format!("{addr}: /status returned HTTP {code}")));
-        }
+        let body = admin_get(addr, "/status")?;
         let doc = twpp::obs::parse_json(&body)
             .map_err(|e| fail(format!("{addr}: invalid /status JSON: {e}")))?;
         render_status(addr, &doc, &body, json, out)?;
@@ -2041,10 +2020,10 @@ fn render_status(
         .as_obj()
         .ok_or_else(|| fail("/status body is not a JSON object".to_string()))?;
     let version = status_u64(obj, "status_schema_version")?;
-    if version != twpp::ingest::STATUS_SCHEMA_VERSION {
+    if version != twpp::daemon::STATUS_SCHEMA_VERSION {
         return Err(fail(format!(
             "/status schema v{version} is not the supported v{}",
-            twpp::ingest::STATUS_SCHEMA_VERSION
+            twpp::daemon::STATUS_SCHEMA_VERSION
         )));
     }
     // Both daemons share the admin plane; the `command` field says which
@@ -2052,29 +2031,42 @@ fn render_status(
     let command = status_field(obj, "command")?
         .as_str()
         .ok_or_else(|| fail("/status field `command` is not a string".to_string()))?;
-    if command == "serve" {
-        return render_serve_status(addr, obj, raw, json, out);
-    }
-    let sources = status_field(obj, "sources")?
+    let serve = command == "serve";
+    let roster_key = if serve { "archives" } else { "sources" };
+    let roster = status_field(obj, roster_key)?
         .as_arr()
-        .ok_or_else(|| fail("/status field `sources` is not an array".to_string()))?;
+        .ok_or_else(|| fail(format!("/status field `{roster_key}` is not an array")))?;
     if json {
         writeln!(out, "{raw}")?;
         return Ok(());
     }
     let draining = status_field(obj, "draining")?.as_bool().unwrap_or(false);
     let uptime_ms = status_u64(obj, "uptime_ms")?;
+    // The shared header, with each daemon's own counters in the middle.
+    let counters = if serve {
+        format!(
+            "{} request(s), {} answer(s) ({} partial), {} error(s)",
+            status_u64(obj, "requests_total")?,
+            status_u64(obj, "answers_total")?,
+            status_u64(obj, "partial_total")?,
+            status_u64(obj, "errors_total")?,
+        )
+    } else {
+        format!("{} frame(s)", status_u64(obj, "frames_total")?)
+    };
     writeln!(
         out,
-        "serve-ingest on {addr}: up {:.1}s{}, {} connection(s), {} frame(s), {} busy, {} quarantined",
+        "{command} on {addr}: up {:.1}s{}, {} connection(s), {counters}, {} busy, {} quarantined",
         uptime_ms as f64 / 1000.0,
         if draining { " (draining)" } else { "" },
         status_u64(obj, "connections_total")?,
-        status_u64(obj, "frames_total")?,
         status_u64(obj, "busy_total")?,
         status_u64(obj, "quarantined_total")?,
     )?;
-    if sources.is_empty() {
+    if serve {
+        return render_serve_status(obj, roster, out);
+    }
+    if roster.is_empty() {
         writeln!(out, "  no sources yet")?;
         return Ok(());
     }
@@ -2083,7 +2075,7 @@ fn render_status(
         "  {:<16} {:>10} {:>8} {:>5} {:>8} {:>12}  state",
         "source", "durable", "window", "segs", "ev/s", "last seal"
     )?;
-    for s in sources {
+    for s in roster {
         let s = s
             .as_obj()
             .ok_or_else(|| fail("/status source entry is not an object".to_string()))?;
@@ -2118,38 +2110,13 @@ fn render_status(
     Ok(())
 }
 
-/// The `/status` renderer for the query fleet server's schema: request
-/// accounting, both cache planes, and the per-tenant roster.
+/// The query fleet server's `/status` sections below the header: both
+/// cache planes, the per-tenant roster and the open failures.
 fn render_serve_status(
-    addr: &str,
     obj: &std::collections::BTreeMap<String, twpp::obs::Json>,
-    raw: &str,
-    json: bool,
+    archives: &[twpp::obs::Json],
     out: &mut Out<'_>,
 ) -> Result<(), CliError> {
-    let archives = status_field(obj, "archives")?
-        .as_arr()
-        .ok_or_else(|| fail("/status field `archives` is not an array".to_string()))?;
-    if json {
-        writeln!(out, "{raw}")?;
-        return Ok(());
-    }
-    let draining = status_field(obj, "draining")?.as_bool().unwrap_or(false);
-    let uptime_ms = status_u64(obj, "uptime_ms")?;
-    writeln!(
-        out,
-        "serve on {addr}: up {:.1}s{}, {} connection(s), {} request(s), \
-         {} answer(s) ({} partial), {} error(s), {} busy, {} quarantined",
-        uptime_ms as f64 / 1000.0,
-        if draining { " (draining)" } else { "" },
-        status_u64(obj, "connections_total")?,
-        status_u64(obj, "requests_total")?,
-        status_u64(obj, "answers_total")?,
-        status_u64(obj, "partial_total")?,
-        status_u64(obj, "errors_total")?,
-        status_u64(obj, "busy_total")?,
-        status_u64(obj, "quarantined_total")?,
-    )?;
     for key in ["frame_cache", "summary_cache"] {
         let cache = status_field(obj, key)?
             .as_obj()
@@ -2227,12 +2194,7 @@ fn cmd_metrics_check(target: &str, out: &mut Out<'_>) -> Result<(), CliError> {
             fs::read_to_string(target).map_err(|e| fail(format!("{target}: {e}")))?;
         (target.to_owned(), text)
     } else {
-        let (code, body) = twpp::net::http_get(target, "/metrics")
-            .map_err(|e| fail(format!("{target}: {e}")))?;
-        if code != 200 {
-            return Err(fail(format!("{target}: /metrics returned HTTP {code}")));
-        }
-        (format!("{target} /metrics"), body)
+        (format!("{target} /metrics"), admin_get(target, "/metrics")?)
     };
     let families = twpp::parse_prometheus_text(&text)
         .map_err(|e| fail(format!("{origin}: invalid Prometheus exposition: {e}")))?;
@@ -2775,86 +2737,25 @@ fn answer_err(e: twpp_server::AnswerError) -> CliError {
     }
 }
 
-struct QueryServeFlags {
-    listen: String,
-    port_file: Option<PathBuf>,
-    admin: Option<String>,
-    admin_port_file: Option<PathBuf>,
-    drain_after_ms: Option<u64>,
-    default_deadline_ms: u64,
-    rescan_ms: Option<u64>,
-    max_inflight: Option<u64>,
-    cache_answers: bool,
-    frame_cache_bytes: Option<u64>,
-    summary_cache_bytes: Option<u64>,
-}
-
 /// `twpp serve <dir>`: the multi-tenant query daemon over a fleet of
 /// archives (DESIGN.md §19). Runs until SIGTERM/SIGINT or
 /// `--drain-after-ms`, answering Query/Slice/Currency/ListArchives/Stat
 /// over the framed protocol.
 fn cmd_serve(
     dir: &Path,
-    flags: QueryServeFlags,
+    daemon: DaemonFlags,
+    opts: twpp_server::ServeOptions,
     obs_files: &ObsFiles,
     out: &mut Out<'_>,
 ) -> Result<(), CliError> {
     // Like serve-ingest, --admin needs live counters behind /metrics, so
     // it switches the observer from noop to collecting.
-    let obs = if flags.admin.is_some() && !obs_files.enabled() {
-        Obs::collecting()
-    } else {
-        obs_files.observer()
-    };
-    let listener = twpp::ingest::ServeListener::bind(&flags.listen)
-        .map_err(|e| fail(format!("{}: {e}", flags.listen)))?;
+    let obs = if daemon.admin.is_some() { Obs::collecting() } else { obs_files.observer() };
+    let (listener, admin, shutdown) = daemon.bind(out)?;
     let addr = listener.local_addr();
-    if let Some(p) = &flags.port_file {
-        fs::write(p, &addr).map_err(|e| fail(format!("{}: {e}", p.display())))?;
-    }
-    let admin_listener = match &flags.admin {
-        Some(spec) => {
-            let l = twpp::ingest::ServeListener::bind(spec)
-                .map_err(|e| fail(format!("{spec}: {e}")))?;
-            let admin_addr = l.local_addr();
-            if let Some(p) = &flags.admin_port_file {
-                fs::write(p, &admin_addr).map_err(|e| fail(format!("{}: {e}", p.display())))?;
-            }
-            writeln!(out, "admin plane on {admin_addr} (/metrics /status /healthz)")?;
-            Some(l)
-        }
-        None => None,
-    };
     writeln!(out, "serving archives under {} on {addr}", dir.display())?;
-    let shutdown = twpp::CancelToken::new();
-    {
-        let token = shutdown.clone();
-        let deadline = flags.drain_after_ms;
-        let started = std::time::Instant::now();
-        std::thread::spawn(move || loop {
-            if shutdown_requested()
-                || deadline.is_some_and(|ms| started.elapsed().as_millis() as u64 >= ms)
-            {
-                token.cancel();
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
-        });
-    }
-    let defaults = twpp_server::ServeOptions::default();
-    let opts = twpp_server::ServeOptions {
-        default_deadline_ms: flags.default_deadline_ms,
-        rescan_ms: flags.rescan_ms.unwrap_or(defaults.rescan_ms),
-        max_inflight: flags.max_inflight.unwrap_or(defaults.max_inflight),
-        cache_answers: flags.cache_answers,
-        frame_cache_bytes: flags.frame_cache_bytes.unwrap_or(defaults.frame_cache_bytes),
-        summary_cache_bytes: flags
-            .summary_cache_bytes
-            .unwrap_or(defaults.summary_cache_bytes),
-        obs: obs.clone(),
-        ..defaults
-    };
-    let report = twpp_server::serve(dir, listener, admin_listener, opts, &shutdown)
+    let opts = twpp_server::ServeOptions { obs: obs.clone(), ..opts };
+    let report = twpp_server::serve(dir, listener, admin, opts, &shutdown)
         .map_err(|e| fail(format!("{}: {e}", dir.display())))?;
     writeln!(
         out,
@@ -3003,7 +2904,7 @@ fn cmd_serve_bench(
 /// Reads `twpp_serve_*_cache_*_total` counters off a serve daemon's
 /// `/metrics` endpoint and folds them into hit rates.
 fn scrape_cache_hit_rates(admin: &str) -> Option<(f64, f64)> {
-    let body = http_get(admin, "/metrics")?;
+    let body = admin_get(admin, "/metrics").ok()?;
     let counter = |name: &str| -> f64 {
         body.lines()
             .find(|l| l.starts_with(name) && !l.starts_with('#'))
@@ -3022,23 +2923,6 @@ fn scrape_cache_hit_rates(admin: &str) -> Option<(f64, f64)> {
             counter("twpp_serve_summary_cache_misses_total"),
         ),
     ))
-}
-
-/// Minimal HTTP GET against an admin-plane spec (`tcp:addr`,
-/// `unix:path`, or a bare address).
-fn http_get(spec: &str, path: &str) -> Option<String> {
-    use std::io::Read;
-    let mut stream: Box<dyn twpp::ingest::ConnStream> = match spec.split_once(':') {
-        Some(("unix", p)) => Box::new(std::os::unix::net::UnixStream::connect(p).ok()?),
-        Some(("tcp", addr)) => Box::new(std::net::TcpStream::connect(addr).ok()?),
-        _ => Box::new(std::net::TcpStream::connect(spec).ok()?),
-    };
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: twpp\r\nConnection: close\r\n\r\n").as_bytes())
-        .ok()?;
-    let mut body = String::new();
-    stream.read_to_string(&mut body).ok()?;
-    body.split_once("\r\n\r\n").map(|(_, b)| b.to_owned())
 }
 
 /// `twpp gen-fleet <dir>`: write `--archives` seeded workload archives
@@ -3317,6 +3201,57 @@ mod tests {
             run(&["query", "/nonexistent.twpa", "1", "--max-events", "2"]),
             Err(CliError::Failed(_))
         ));
+    }
+
+    #[test]
+    fn every_verb_rejects_a_flag_its_mode_does_not_read() {
+        let corpus = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/corpus/small-v3.twpa"
+        );
+        let dir = temp_dir().join("mode-flags");
+        fs::create_dir_all(&dir).unwrap();
+        let repaired = dir.join("x.twpa");
+        let repaired = repaired.to_str().unwrap();
+        let remote = "tcp:127.0.0.1:1";
+        let report = dir.join("r.json");
+        let report = report.to_str().unwrap();
+        let dir_arg = dir.to_str().unwrap();
+        // (arguments, the flag the mode does not read, the mode)
+        let cases: &[(&[&str], &str, &str)] = &[
+            (
+                &["fsck", dir_arg, "--repair", "-o", repaired, "--threads", "2"],
+                "--repair",
+                "on an ingest directory",
+            ),
+            (
+                &["query", corpus, "1", "--remote", remote, "--report", report],
+                "--report",
+                "with `--remote`",
+            ),
+            (
+                &["slice", corpus, "1", "0", "1", "--remote", remote, "--trace-out", report],
+                "--trace-out",
+                "with `--remote`",
+            ),
+            (
+                &["currency", corpus, "1", "0", "1", "2", "--remote", remote, "--metrics-out", report],
+                "--metrics-out",
+                "with `--remote`",
+            ),
+        ];
+        for (args, flag, mode) in cases {
+            match run(args) {
+                Err(CliError::Usage(msg)) => assert!(
+                    msg.contains(&format!("`{}` does not take `{flag}` {mode}", args[0])),
+                    "{args:?}: {msg}"
+                ),
+                other => panic!("{args:?} must be a usage error naming {flag}: {other:?}"),
+            }
+        }
+        assert!(!Path::new(repaired).exists());
+        assert!(!Path::new(report).exists());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -3940,7 +3875,7 @@ mod tests {
         let obj = doc.as_obj().unwrap();
         assert_eq!(
             obj.get("status_schema_version").and_then(|v| v.as_num()),
-            Some(twpp::ingest::STATUS_SCHEMA_VERSION as f64)
+            Some(twpp::daemon::STATUS_SCHEMA_VERSION as f64)
         );
         assert_eq!(
             obj.get("command").and_then(|v| v.as_str()),

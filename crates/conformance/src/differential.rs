@@ -706,10 +706,8 @@ fn serve_bytes(
     };
     let retry = twpp::Retry::new(8, 1, 4, 7);
     let feed = (|| -> Result<bool, String> {
-        let hostport = addr.strip_prefix("tcp:").unwrap_or(&addr);
-        let stream = std::net::TcpStream::connect(hostport)
+        let stream = twpp::daemon::connect(&addr)
             .map_err(|e| format!("serve connect failed: {e}"))?;
-        stream.set_nodelay(true).ok();
         let mut client = twpp::net::Client::hello(stream, "src")
             .map_err(|e| format!("serve hello failed: {e}"))?;
         for piece in events.chunks(chunk.max(1)) {

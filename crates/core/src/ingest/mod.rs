@@ -40,6 +40,14 @@
 //!
 //! See DESIGN.md §15 for the state machine diagram and the WAL record
 //! format.
+//!
+//! # The streaming daemon
+//!
+//! [`serve`] (`twpp serve-ingest`, DESIGN.md §17) feeds one compactor
+//! per source from framed connections and tailed files. It is a
+//! [`crate::daemon::Handler`] on the skeleton it shares with `twpp
+//! serve`; what is its own — backpressure, the watchdog, the tails, the
+//! startup resume and the drain's seal-and-merge — lives in this module.
 
 use std::error::Error;
 use std::fmt;
@@ -59,9 +67,9 @@ mod server;
 mod wal;
 
 pub use compactor::{Compactor, FinishReport, IngestOptions, ResumeReport};
+pub use crate::daemon::ServeListener;
 pub use server::{
-    serve, serve_with_admin, tail_source_name, ConnStream, ServeListener, ServeOptions,
-    ServeReport, SourceReport, STATUS_SCHEMA_VERSION,
+    serve, serve_with_admin, tail_source_name, ServeOptions, ServeReport, SourceReport,
 };
 pub use merge::{fsck_dir, merged_path, replay_dir_events, DirCheck, DirReplay, SegmentCheck};
 pub use segment::{

@@ -3,58 +3,54 @@
 //! A long-lived, threaded server that accepts WPP event streams over the
 //! framed [`crate::net`] protocol (TCP or Unix socket) and from tailed
 //! files, and feeds each *source* into its own resumable
-//! [`Compactor`] under `dir/<source>/`. Every failure edge is hardened:
+//! [`Compactor`] under `dir/<source>/`. It runs on the shared
+//! [`crate::daemon`] skeleton (accept loop, connection loop, drain
+//! sequence, admin plane) as a [`Handler`]; every failure edge is
+//! hardened:
 //!
 //! * **Garbage in, connection out.** A frame that fails magic/CRC/kind
 //!   validation quarantines that connection with a typed `Error` reply;
-//!   the process and every other connection keep running.
+//!   so does any `Error` reply. The process and every other connection
+//!   keep running.
 //! * **Backpressure, not buffering.** When a source's open window would
 //!   exceed its byte cap, or another connection holds the source busy,
 //!   the daemon replies `Busy{retry_after_ms}` instead of queueing. The
 //!   offset-based dedup in the feed path makes blind client replay after
 //!   a `Busy` (or a reconnect) exactly-once: no acknowledged event is
 //!   ever lost or doubled.
-//! * **Transient I/O is retried.** WAL appends and segment commits run
-//!   under the [`Retry`] policy (exponential backoff, deterministic
-//!   jitter), surfaced as `twpp_ingest_retry_*` metrics.
+//! * **Transient I/O is retried.** WAL appends, segment commits and
+//!   reply writes run under the [`Retry`] policy (exponential backoff,
+//!   deterministic jitter), surfaced as `twpp_ingest_retry_*` metrics.
 //! * **Wedged seals fail in isolation.** A watchdog thread marks a
 //!   source failed when one durable operation exceeds `wedge_ms`; other
 //!   sources and the daemon itself are unaffected, and the failed
 //!   source's directory remains resumable on disk.
 //! * **Graceful drain.** On cancellation (SIGTERM in the CLI) or a
-//!   client `Drain` frame the daemon stops accepting, joins every
-//!   connection, then seals open windows and merges each source to
-//!   `merged.twpa` — the source's one compaction, byte-identical to an
-//!   uninterrupted batch run by the merge invariant (DESIGN.md §15).
-//!
-//! The drain state machine (DESIGN.md §17):
-//!
-//! ```text
-//!   Accepting ──(Drain frame | cancel token)──► Draining
-//!   Draining:  listener closed, connections unwound at next poll tick
-//!   Finishing: per source (sorted): seal ► merge ► merged.twpa
-//!   Done:      ServeReport (all_clean ⇒ exit 0)
-//! ```
+//!   client `Drain` frame the daemon stops accepting, refuses open
+//!   connections with `Error{ERR_DRAINING}`, joins them and the tails,
+//!   then seals open windows and merges each source to `merged.twpa` —
+//!   the source's one compaction, byte-identical to an uninterrupted
+//!   batch run by the merge invariant (DESIGN.md §15). The drain state
+//!   machine is the skeleton's ([`crate::daemon::Phase`], DESIGN.md
+//!   §17); the seal-and-merge is this daemon's finish step.
 
 use std::collections::HashMap;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use twpp_tracer::raw::WppStream;
 use twpp_tracer::WppEvent;
 
 use crate::archive::Durability;
+use crate::daemon::{self, After, Core, Handler, Phase, ServeListener};
 use crate::gov::{CancelToken, FaultPlan, Limits, Retry};
 use crate::net::{
-    http_read_request_path, http_write_response, valid_source_name, Frame, FramedStream,
-    NetError, ERR_DRAINING, ERR_NO_HELLO, ERR_PROTOCOL, ERR_SOURCE_FAILED, ERR_STREAM,
+    valid_source_name, Frame, ERR_DRAINING, ERR_NO_HELLO, ERR_PROTOCOL, ERR_SOURCE_FAILED,
+    ERR_STREAM,
 };
 use crate::obs::{FlightRecorder, JsonWriter, Logger, Obs, RateEstimator};
 use crate::timestamped::Codec;
@@ -197,104 +193,6 @@ impl ServeReport {
     }
 }
 
-/// Where the daemon listens.
-#[derive(Debug)]
-pub enum ServeListener {
-    /// A TCP listener.
-    Tcp(TcpListener),
-    /// A Unix-domain socket listener.
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl ServeListener {
-    /// Binds from a spec string: `tcp:HOST:PORT` or `unix:PATH`. A bare
-    /// `HOST:PORT` is treated as TCP. `tcp:127.0.0.1:0` picks a free
-    /// port — read it back with [`ServeListener::local_addr`].
-    pub fn bind(spec: &str) -> Result<ServeListener, IngestError> {
-        if let Some(path) = spec.strip_prefix("unix:") {
-            #[cfg(unix)]
-            {
-                let path = Path::new(path);
-                if path.exists() {
-                    fs::remove_file(path).map_err(|e| io_err(path, &e))?;
-                }
-                return UnixListener::bind(path)
-                    .map(ServeListener::Unix)
-                    .map_err(|e| io_err(path, &e));
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(IngestError::Io(format!(
-                    "unix sockets are not supported on this platform: {path}"
-                )));
-            }
-        }
-        let addr = spec.strip_prefix("tcp:").unwrap_or(spec);
-        TcpListener::bind(addr)
-            .map(ServeListener::Tcp)
-            .map_err(|e| IngestError::Io(format!("{addr}: {e}")))
-    }
-
-    /// The bound address, printable for `--port-file` / logs.
-    pub fn local_addr(&self) -> String {
-        match self {
-            ServeListener::Tcp(l) => l
-                .local_addr()
-                .map_or_else(|_| "tcp:?".into(), |a| format!("tcp:{a}")),
-            #[cfg(unix)]
-            ServeListener::Unix(l) => l
-                .local_addr()
-                .ok()
-                .and_then(|a| a.as_pathname().map(|p| format!("unix:{}", p.display())))
-                .unwrap_or_else(|| "unix:?".into()),
-        }
-    }
-
-    /// Switches the listener to nonblocking accepts — call once before
-    /// polling [`ServeListener::accept`] in a loop.
-    pub fn set_nonblocking(&self) -> io::Result<()> {
-        match self {
-            ServeListener::Tcp(l) => l.set_nonblocking(true),
-            #[cfg(unix)]
-            ServeListener::Unix(l) => l.set_nonblocking(true),
-        }
-    }
-
-    /// Accepts one connection if one is pending; `None` on would-block.
-    /// The listener must have been switched to nonblocking first.
-    pub fn accept(&self, read_timeout: Duration) -> io::Result<Option<Box<dyn ConnStream>>> {
-        match self {
-            ServeListener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    s.set_read_timeout(Some(read_timeout))?;
-                    s.set_nodelay(true)?;
-                    Ok(Some(Box::new(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            ServeListener::Unix(l) => match l.accept() {
-                Ok((s, _)) => {
-                    s.set_nonblocking(false)?;
-                    s.set_read_timeout(Some(read_timeout))?;
-                    Ok(Some(Box::new(s)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-        }
-    }
-}
-
-/// A connected client stream the daemon can poll-read.
-pub trait ConnStream: Read + Write + Send {}
-impl ConnStream for TcpStream {}
-#[cfg(unix)]
-impl ConnStream for UnixStream {}
-
 /// Why a `Busy` reply was sent; each cause gets its own counter.
 #[derive(Copy, Clone, Debug)]
 enum BusyCause {
@@ -345,6 +243,28 @@ struct SourceHandle {
 }
 
 impl SourceHandle {
+    /// A source over its opened compactor, or one that failed to open
+    /// (`Err` holds why), which is only reported.
+    fn new(name: &str, opened: Result<Compactor, String>) -> SourceHandle {
+        let (acked, segments, window) = opened.as_ref().map_or((0, 0, 0), |c| {
+            (c.accepted_events(), c.segment_count(), c.window_events())
+        });
+        let failure = opened.as_ref().err().cloned();
+        SourceHandle {
+            name: name.to_owned(),
+            compactor: Mutex::new(opened.ok()),
+            acked: AtomicU64::new(acked),
+            segments: AtomicU64::new(segments),
+            op_started_ms: AtomicU64::new(0),
+            window_events: AtomicU64::new(window),
+            last_seal_ms: AtomicU64::new(0),
+            rate: RateEstimator::per_second_window(),
+            budget_reported: AtomicBool::new(false),
+            failed: AtomicBool::new(failure.is_some()),
+            fail_msg: Mutex::new(failure),
+        }
+    }
+
     fn mark_failed(&self, why: String, registry: &Registry) {
         if !self.failed.swap(true, Ordering::SeqCst) {
             registry
@@ -395,25 +315,16 @@ impl SourceHandle {
 
 /// Daemon-wide shared state, borrowed by every thread in the scope.
 struct Registry {
+    core: Core,
     dir: PathBuf,
     opts: ServeOptions,
-    start: Instant,
-    drain: AtomicBool,
     sources: Mutex<HashMap<String, Arc<SourceHandle>>>,
-    connections: AtomicU64,
-    frames: AtomicU64,
-    busy: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl Registry {
-    fn draining(&self) -> bool {
-        self.drain.load(Ordering::SeqCst)
-    }
-
     fn now_ms(&self) -> u64 {
         // | 1 keeps "started at t=0" distinguishable from "idle".
-        (self.start.elapsed().as_millis() as u64) | 1
+        self.core.uptime_ms() | 1
     }
 
     /// Runs one durable operation with the watchdog clock armed.
@@ -439,7 +350,7 @@ impl Registry {
         if let Some(h) = sources.get(name) {
             return Ok(Arc::clone(h));
         }
-        if self.draining() {
+        if self.core.draining() {
             return Err(Frame::Error {
                 code: ERR_DRAINING,
                 message: "daemon is draining; not accepting new sources".into(),
@@ -449,19 +360,7 @@ impl Registry {
         match Compactor::open(&sub, self.opts.ingest_options()) {
             Ok((c, _resumed)) => {
                 let accepted = c.accepted_events();
-                let h = Arc::new(SourceHandle {
-                    name: name.to_owned(),
-                    acked: AtomicU64::new(accepted),
-                    segments: AtomicU64::new(c.segment_count()),
-                    window_events: AtomicU64::new(c.window_events()),
-                    last_seal_ms: AtomicU64::new(0),
-                    rate: RateEstimator::per_second_window(),
-                    budget_reported: AtomicBool::new(false),
-                    compactor: Mutex::new(Some(c)),
-                    op_started_ms: AtomicU64::new(0),
-                    failed: AtomicBool::new(false),
-                    fail_msg: Mutex::new(None),
-                });
+                let h = Arc::new(SourceHandle::new(name, Ok(c)));
                 sources.insert(name.to_owned(), Arc::clone(&h));
                 self.opts.log.info(
                     "source opened",
@@ -476,10 +375,10 @@ impl Registry {
         }
     }
 
+    /// A `Busy` reply plus its per-cause counter, so dashboards can tell
+    /// backpressure from contention from chaos drills (the skeleton
+    /// counts the blended total as it sends the reply).
     fn busy_reply(&self, cause: BusyCause) -> Frame {
-        self.busy.fetch_add(1, Ordering::SeqCst);
-        // Blended count plus a per-cause counter, so dashboards can
-        // tell backpressure from contention from chaos drills.
         let (name, help) = match cause {
             BusyCause::WindowCap => (
                 "twpp_ingest_busy_window_cap_total",
@@ -653,82 +552,64 @@ impl Registry {
             }),
         }
     }
-}
-
-/// Sends a reply under the retry policy. Note the asymmetry with reads:
-/// a retried send re-transmits the whole frame, which is only safe
-/// because a failed socket write is almost always all-or-nothing and a
-/// torn resend merely quarantines that one client connection.
-fn send_retry(
-    framed: &mut FramedStream<Box<dyn ConnStream>>,
-    retry: Retry,
-    frame: &Frame,
-) -> Result<(), NetError> {
-    match retry.run(|_| framed.send(frame)) {
-        Ok(((), _attempts)) => Ok(()),
-        Err(exhausted) => Err(exhausted.last),
+    /// Every registered source, sorted by name.
+    fn handles(&self) -> Vec<Arc<SourceHandle>> {
+        let mut v: Vec<_> = self
+            .sources
+            .lock()
+            .map(|g| g.values().cloned().collect())
+            .unwrap_or_default();
+        v.sort_by(|a, b| a.name.cmp(&b.name));
+        v
     }
 }
 
-/// One connection's lifecycle: `Hello` first, then `Events`/`Seal`
-/// frames until close, drain, or quarantine.
-fn handle_conn(registry: &Registry, stream: Box<dyn ConnStream>) {
-    registry.connections.fetch_add(1, Ordering::SeqCst);
-    if let Some(rec) = &registry.opts.flightrec {
-        rec.record("-", "conn", String::new());
+impl Handler for Registry {
+    /// The source this connection said `Hello` to.
+    type Conn = Option<Arc<SourceHandle>>;
+    const COMMAND: &'static str = "serve-ingest";
+
+    fn core(&self) -> &Core {
+        &self.core
     }
-    let retry = registry.opts.retry;
-    let mut framed = FramedStream::new(stream);
-    let mut source: Option<Arc<SourceHandle>> = None;
-    loop {
-        if registry.draining() {
-            return;
+
+    fn open(&self) -> Self::Conn {
+        if let Some(rec) = &self.opts.flightrec {
+            rec.record("-", "conn", String::new());
         }
-        let frame = match framed.recv_step() {
-            Ok(None) => continue,
-            Ok(Some(frame)) => frame,
-            Err(NetError::Closed) | Err(NetError::Io(_)) => return,
-            Err(garbage) => {
-                // Torn, oversized or corrupt framing: quarantine this
-                // connection with a typed refusal; the daemon lives on.
-                let _ = framed.send(&Frame::Error {
-                    code: ERR_PROTOCOL,
-                    message: garbage.to_string(),
-                });
-                registry.quarantined.fetch_add(1, Ordering::SeqCst);
-                return;
-            }
-        };
-        registry.frames.fetch_add(1, Ordering::SeqCst);
-        let mut drain_after_reply = false;
+        None
+    }
+
+    /// `Hello` first, then `Events`/`Seal` frames until close, drain, or
+    /// quarantine. Every `Error` reply closes the connection as
+    /// quarantined.
+    fn frame(&self, source: &mut Self::Conn, frame: Frame) -> (Frame, After) {
         let reply = match frame {
-            Frame::Hello { source: name } => match registry.get_or_create(&name) {
+            Frame::Hello { source: name } => match self.get_or_create(&name) {
                 Ok(h) => {
                     let accepted = h.acked.load(Ordering::SeqCst);
-                    source = Some(h);
+                    *source = Some(h);
                     Frame::Ok { accepted }
                 }
                 Err(err_reply) => err_reply,
             },
-            Frame::Events { offset, events } => match &source {
-                Some(h) => registry.feed(h, offset, &events),
+            Frame::Events { offset, events } => match source {
+                Some(h) => self.feed(h, offset, &events),
                 None => Frame::Error {
                     code: ERR_NO_HELLO,
                     message: "first frame must be Hello".into(),
                 },
             },
-            Frame::Seal => match &source {
-                Some(h) => registry.seal(h),
+            Frame::Seal => match source {
+                Some(h) => self.seal(h),
                 None => Frame::Error {
                     code: ERR_NO_HELLO,
                     message: "first frame must be Hello".into(),
                 },
             },
             Frame::Drain => {
-                drain_after_reply = true;
-                Frame::Ok {
-                    accepted: source.as_ref().map_or(0, |h| h.acked.load(Ordering::SeqCst)),
-                }
+                let accepted = source.as_ref().map_or(0, |h| h.acked.load(Ordering::SeqCst));
+                return (Frame::Ok { accepted }, After::Drain);
             }
             Frame::Ok { .. }
             | Frame::Busy { .. }
@@ -747,18 +628,78 @@ fn handle_conn(registry: &Registry, stream: Box<dyn ConnStream>) {
                 message: "serve request sent to an ingest daemon".into(),
             },
         };
-        let quarantine = matches!(reply, Frame::Error { .. });
-        if send_retry(&mut framed, retry, &reply).is_err() {
-            return;
+        let after = if matches!(reply, Frame::Error { .. }) {
+            After::Quarantine
+        } else {
+            After::Continue
+        };
+        (reply, after)
+    }
+
+    /// One row per source (schema v1, DESIGN.md §18), read from the
+    /// lock-free mirrors and the sources-map lock — never a compactor
+    /// mutex — so it stays responsive while a source is mid-seal or
+    /// wedged.
+    fn status(&self, w: &mut JsonWriter) {
+        let now = self.now_ms();
+        w.key("sources");
+        w.begin_array();
+        for h in &self.handles() {
+            let started = h.op_started_ms.load(Ordering::SeqCst);
+            w.begin_object();
+            w.key("name");
+            w.string(&h.name);
+            w.key("durable_events");
+            w.uint(h.acked.load(Ordering::SeqCst));
+            w.key("window_events");
+            w.uint(h.window_events.load(Ordering::SeqCst));
+            w.key("segments");
+            w.uint(h.segments.load(Ordering::SeqCst));
+            w.key("last_seal_ms");
+            w.uint(h.last_seal_ms.load(Ordering::SeqCst));
+            w.key("events_per_sec");
+            w.float(h.rate.per_second());
+            w.key("in_op_ms");
+            w.uint(if started == 0 { 0 } else { now.saturating_sub(started) });
+            w.key("failed");
+            w.boolean(h.failed.load(Ordering::SeqCst));
+            w.key("failure");
+            match h.failure() {
+                Some(why) => w.string(&why),
+                None => w.null(),
+            }
+            w.end_object();
         }
-        if drain_after_reply {
-            registry.drain.store(true, Ordering::SeqCst);
-            return;
-        }
-        if quarantine {
-            registry.quarantined.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
+        w.end_array();
+    }
+
+    /// Daemon-level gauges only: per-source detail lives in `/status`
+    /// (gauge names must be static; source names are not).
+    fn refresh_gauges(&self, obs: &Obs) {
+        obs.gauge("twpp_ingest_uptime_ms", "Milliseconds since daemon start")
+            .set(self.now_ms() as i64);
+        obs.gauge("twpp_ingest_draining", "1 once drain has begun")
+            .set(self.core.draining() as i64);
+        let (sources, failed) = self
+            .sources
+            .lock()
+            .map(|g| {
+                let failed = g.values().filter(|h| h.failed.load(Ordering::SeqCst)).count();
+                (g.len(), failed)
+            })
+            .unwrap_or((0, 0));
+        obs.gauge("twpp_ingest_sources", "Sources currently registered")
+            .set(sources as i64);
+        obs.gauge("twpp_ingest_sources_failed", "Sources failed by the watchdog")
+            .set(failed as i64);
+    }
+
+    /// A failed source degrades health.
+    fn degraded(&self) -> bool {
+        self.sources
+            .lock()
+            .map(|g| g.values().any(|h| h.failed.load(Ordering::SeqCst)))
+            .unwrap_or(true)
     }
 }
 
@@ -809,7 +750,7 @@ fn run_tail(registry: &Registry, path: &Path) {
         let Some(p) = parser.as_mut() else { return };
         match file.read(&mut chunk) {
             Ok(0) => {
-                if !registry.draining() {
+                if !registry.core.draining() {
                     std::thread::sleep(Duration::from_millis(registry.opts.poll_ms));
                     continue;
                 }
@@ -911,19 +852,10 @@ pub fn serve_with_admin(
     opts: ServeOptions,
 ) -> Result<ServeReport, IngestError> {
     fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
-    listener.set_nonblocking().map_err(|e| IngestError::Io(format!("listener: {e}")))?;
-    if let Some(a) = &admin {
-        a.set_nonblocking().map_err(|e| IngestError::Io(format!("admin listener: {e}")))?;
-    }
     let registry = Registry {
+        core: Core::new(opts.poll_ms, opts.retry, opts.obs.clone()),
         dir: dir.to_path_buf(),
-        start: Instant::now(),
-        drain: AtomicBool::new(false),
         sources: Mutex::new(HashMap::new()),
-        connections: AtomicU64::new(0),
-        frames: AtomicU64::new(0),
-        busy: AtomicU64::new(0),
-        quarantined: AtomicU64::new(0),
         opts,
     };
 
@@ -951,19 +883,7 @@ pub fn serve_with_admin(
                 "source damaged on startup",
                 &[("source", name), ("why", &message)],
             );
-            let h = Arc::new(SourceHandle {
-                name: name.clone(),
-                compactor: Mutex::new(None),
-                acked: AtomicU64::new(0),
-                segments: AtomicU64::new(0),
-                window_events: AtomicU64::new(0),
-                last_seal_ms: AtomicU64::new(0),
-                rate: RateEstimator::per_second_window(),
-                budget_reported: AtomicBool::new(false),
-                op_started_ms: AtomicU64::new(0),
-                failed: AtomicBool::new(true),
-                fail_msg: Mutex::new(Some(message)),
-            });
+            let h = Arc::new(SourceHandle::new(name, Err(message)));
             registry
                 .opts
                 .obs
@@ -986,153 +906,15 @@ pub fn serve_with_admin(
         ],
     );
 
-    let poll = Duration::from_millis(registry.opts.poll_ms.max(1));
-    let watchdog_done = AtomicBool::new(false);
-    let admin_done = AtomicBool::new(false);
-    let report = std::thread::scope(|scope| {
-        // Admin plane: serve /metrics, /status and /healthz until the
-        // report is built, so scrapes observe the finish phase too.
-        // Requests touch only atomics, the sources map and the metrics
-        // registry — never a compactor lock — so a scrape can't stall
-        // (or be stalled by) a wedged seal.
-        if let Some(admin_listener) = admin {
-            let r = &registry;
-            let done = &admin_done;
-            scope.spawn(move || {
-                let tick = Duration::from_millis(250);
-                while !done.load(Ordering::SeqCst) {
-                    match admin_listener.accept(tick) {
-                        Ok(Some(stream)) => handle_admin_conn(r, stream),
-                        Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                        Err(_) => std::thread::sleep(tick),
-                    }
-                }
-            });
-        }
-
-        // Watchdog: fail a source whose in-flight durable operation has
-        // exceeded the wedge deadline, in isolation.
-        let wd_registry = &registry;
-        let wd_done = &watchdog_done;
-        scope.spawn(move || {
-            let tick = Duration::from_millis((wd_registry.opts.wedge_ms / 4).clamp(5, 250));
-            while !wd_done.load(Ordering::SeqCst) {
-                let handles: Vec<Arc<SourceHandle>> = wd_registry
-                    .sources
-                    .lock()
-                    .map(|g| g.values().cloned().collect())
-                    .unwrap_or_default();
-                for h in handles {
-                    let started = h.op_started_ms.load(Ordering::SeqCst);
-                    if started != 0
-                        && wd_registry.now_ms().saturating_sub(started)
-                            > wd_registry.opts.wedge_ms
-                    {
-                        h.mark_failed(
-                            format!(
-                                "watchdog: durable operation wedged past {} ms",
-                                wd_registry.opts.wedge_ms
-                            ),
-                            wd_registry,
-                        );
-                    }
-                }
-                std::thread::sleep(tick);
-            }
-        });
-
-        let mut workers = Vec::new();
-        for path in registry.opts.tails.clone() {
-            let r = &registry;
-            workers.push(scope.spawn(move || run_tail(r, &path)));
-        }
-
-        // Accept loop: poll the listener until drain.
-        while !registry.draining() {
-            if shutdown.is_cancelled() {
-                registry.drain.store(true, Ordering::SeqCst);
-                break;
-            }
-            match listener.accept(poll) {
-                Ok(Some(stream)) => {
-                    let r = &registry;
-                    workers.push(scope.spawn(move || handle_conn(r, stream)));
-                }
-                Ok(None) => std::thread::sleep(poll),
-                Err(_) => std::thread::sleep(poll),
-            }
-        }
-        drop(listener);
-        registry.opts.log.info("draining", &[]);
-        for w in workers {
-            let _ = w.join();
-        }
-        // Stand the watchdog down before the finish phase: the drain
-        // merge is legitimately long, and a source wedged *there*
-        // could not be failed usefully anyway (finish owns the
-        // compactor; nothing else is waiting on it).
-        watchdog_done.store(true, Ordering::SeqCst);
-
-        // Finish phase: seal + merge every source, sorted for a
-        // deterministic report. Failed sources are skipped (resumable
-        // on disk); empty sources have nothing to merge.
-        let handles: Vec<Arc<SourceHandle>> = {
-            let mut v: Vec<_> = registry
-                .sources
-                .lock()
-                .map(|g| g.values().cloned().collect())
-                .unwrap_or_default();
-            v.sort_by(|a, b| a.name.cmp(&b.name));
-            v
-        };
-        let mut sources = Vec::with_capacity(handles.len());
-        for h in handles {
-            let mut report = SourceReport {
-                name: h.name.clone(),
-                events: h.acked.load(Ordering::SeqCst),
-                segments: h.segments.load(Ordering::SeqCst),
-                merged: None,
-                failed: h.failure(),
-            };
-            if report.failed.is_none() {
-                let taken = h.compactor.lock().ok().and_then(|mut g| g.take());
-                if let Some(c) = taken {
-                    report.events = c.accepted_events();
-                    if c.accepted_events() > 0 {
-                        match c.finish() {
-                            Ok(fin) => {
-                                report.segments = fin.segments;
-                                report.merged = Some(fin.path);
-                            }
-                            Err(e) => {
-                                h.mark_failed(format!("drain merge: {e}"), &registry);
-                            }
-                        }
-                    }
-                }
-                report.failed = h.failure();
-            }
-            registry.opts.log.info(
-                "source drained",
-                &[
-                    ("source", &report.name),
-                    ("events", &report.events.to_string()),
-                    ("segments", &report.segments.to_string()),
-                    ("failed", report.failed.as_deref().unwrap_or("-")),
-                ],
-            );
-            sources.push(report);
-        }
-        let report = ServeReport {
-            sources,
-            connections: registry.connections.load(Ordering::SeqCst),
-            frames: registry.frames.load(Ordering::SeqCst),
-            busy_responses: registry.busy.load(Ordering::SeqCst),
-            quarantined: registry.quarantined.load(Ordering::SeqCst),
-        };
-        admin_done.store(true, Ordering::SeqCst);
-        report
+    let registry = &registry;
+    let tails = registry.opts.tails.iter().map(|path| {
+        Box::new(move || run_tail(registry, path)) as Box<dyn FnOnce() + Send + '_>
     });
+    let report = std::thread::scope(|scope| {
+        scope.spawn(|| watchdog(registry));
+        daemon::run(registry, listener, admin, &shutdown, tails.collect(), || finish(registry))
+    })
+    .map_err(|e| IngestError::Io(format!("listener: {e}")))?;
     let obs = &registry.opts.obs;
     obs.counter("twpp_ingest_serve_connections_total", "connections accepted")
         .add(report.connections);
@@ -1159,150 +941,92 @@ pub fn serve_with_admin(
     Ok(report)
 }
 
-/// The version of the `/status` JSON document.
-pub const STATUS_SCHEMA_VERSION: u64 = 1;
-
-/// Builds the `/status` document (schema v1, DESIGN.md §18). Reads only
-/// atomics and the sources-map lock — never a compactor mutex — so it
-/// stays responsive while a source is mid-seal or wedged.
-fn status_json(registry: &Registry) -> String {
-    let handles: Vec<Arc<SourceHandle>> = {
-        let mut v: Vec<_> = registry
-            .sources
-            .lock()
-            .map(|g| g.values().cloned().collect())
-            .unwrap_or_default();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
-    };
-    let now = registry.now_ms();
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("status_schema_version");
-    w.uint(STATUS_SCHEMA_VERSION);
-    w.key("command");
-    w.string("serve-ingest");
-    w.key("uptime_ms");
-    w.uint(registry.start.elapsed().as_millis() as u64);
-    w.key("draining");
-    w.boolean(registry.draining());
-    w.key("connections_total");
-    w.uint(registry.connections.load(Ordering::SeqCst));
-    w.key("frames_total");
-    w.uint(registry.frames.load(Ordering::SeqCst));
-    w.key("busy_total");
-    w.uint(registry.busy.load(Ordering::SeqCst));
-    w.key("quarantined_total");
-    w.uint(registry.quarantined.load(Ordering::SeqCst));
-    w.key("sources");
-    w.begin_array();
-    for h in &handles {
-        let started = h.op_started_ms.load(Ordering::SeqCst);
-        w.begin_object();
-        w.key("name");
-        w.string(&h.name);
-        w.key("durable_events");
-        w.uint(h.acked.load(Ordering::SeqCst));
-        w.key("window_events");
-        w.uint(h.window_events.load(Ordering::SeqCst));
-        w.key("segments");
-        w.uint(h.segments.load(Ordering::SeqCst));
-        w.key("last_seal_ms");
-        w.uint(h.last_seal_ms.load(Ordering::SeqCst));
-        w.key("events_per_sec");
-        w.float(h.rate.per_second());
-        w.key("in_op_ms");
-        w.uint(if started == 0 { 0 } else { now.saturating_sub(started) });
-        w.key("failed");
-        w.boolean(h.failed.load(Ordering::SeqCst));
-        w.key("failure");
-        match h.failure() {
-            Some(why) => w.string(&why),
-            None => w.null(),
+/// Fails, in isolation, a source whose in-flight durable operation has
+/// exceeded the wedge deadline. Stands down when the finish step begins:
+/// the drain merge is legitimately long, and a source wedged *there*
+/// could not be failed usefully anyway (finish owns the compactor;
+/// nothing else is waiting on it).
+fn watchdog(registry: &Registry) {
+    let tick = Duration::from_millis((registry.opts.wedge_ms / 4).clamp(5, 250));
+    while registry.core.phase() < Phase::Finishing {
+        for h in registry.handles() {
+            let started = h.op_started_ms.load(Ordering::SeqCst);
+            if started != 0 && registry.now_ms().saturating_sub(started) > registry.opts.wedge_ms
+            {
+                h.mark_failed(
+                    format!(
+                        "watchdog: durable operation wedged past {} ms",
+                        registry.opts.wedge_ms
+                    ),
+                    registry,
+                );
+            }
         }
-        w.end_object();
+        std::thread::sleep(tick);
     }
-    w.end_array();
-    w.end_object();
-    w.finish()
 }
 
-/// Serves one admin-plane request: parse the GET line, route, reply,
-/// close. Runs inline on the admin accept thread — requests are a few
-/// hundred bytes and responses one registry snapshot, so a dedicated
-/// thread per scrape would buy nothing.
-fn handle_admin_conn(registry: &Registry, mut stream: Box<dyn ConnStream>) {
-    let path = match http_read_request_path(&mut stream) {
-        Ok(p) => p,
-        Err(_) => {
-            let _ = http_write_response(&mut stream, 400, "Bad Request", "text/plain", b"bad request\n");
-            return;
+/// The finish step: seal + merge every source, sorted for a
+/// deterministic report. Failed sources are skipped (resumable on
+/// disk); empty sources have nothing to merge.
+fn finish(registry: &Registry) -> ServeReport {
+    registry.opts.log.info("draining", &[]);
+    let mut sources = Vec::new();
+    for h in registry.handles() {
+        let mut report = SourceReport {
+            name: h.name.clone(),
+            events: h.acked.load(Ordering::SeqCst),
+            segments: h.segments.load(Ordering::SeqCst),
+            merged: None,
+            failed: h.failure(),
+        };
+        if report.failed.is_none() {
+            let taken = h.compactor.lock().ok().and_then(|mut g| g.take());
+            if let Some(c) = taken {
+                report.events = c.accepted_events();
+                if c.accepted_events() > 0 {
+                    match c.finish() {
+                        Ok(fin) => {
+                            report.segments = fin.segments;
+                            report.merged = Some(fin.path);
+                        }
+                        Err(e) => {
+                            h.mark_failed(format!("drain merge: {e}"), registry);
+                        }
+                    }
+                }
+            }
+            report.failed = h.failure();
         }
-    };
-    let result = match path.as_str() {
-        "/metrics" => {
-            // Daemon-level gauges are refreshed per scrape, so an idle
-            // daemon still exposes a non-empty, parseable document.
-            // Per-source detail lives in /status (gauge names must be
-            // static; source names are not).
-            let obs = &registry.opts.obs;
-            obs.gauge("twpp_ingest_uptime_ms", "Milliseconds since daemon start")
-                .set(registry.now_ms() as i64);
-            obs.gauge("twpp_ingest_draining", "1 once drain has begun")
-                .set(registry.draining() as i64);
-            let (sources, failed) = registry
-                .sources
-                .lock()
-                .map(|g| {
-                    let failed =
-                        g.values().filter(|h| h.failed.load(Ordering::SeqCst)).count();
-                    (g.len(), failed)
-                })
-                .unwrap_or((0, 0));
-            obs.gauge("twpp_ingest_sources", "Sources currently registered")
-                .set(sources as i64);
-            obs.gauge("twpp_ingest_sources_failed", "Sources failed by the watchdog")
-                .set(failed as i64);
-            http_write_response(
-                &mut stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                obs.prometheus_text().as_bytes(),
-            )
-        }
-        "/status" => http_write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            status_json(registry).as_bytes(),
-        ),
-        "/healthz" => {
-            let wedged = registry
-                .sources
-                .lock()
-                .map(|g| g.values().any(|h| h.failed.load(Ordering::SeqCst)))
-                .unwrap_or(true);
-            let (status, reason, body) = if registry.draining() {
-                (503, "Service Unavailable", &b"draining\n"[..])
-            } else if wedged {
-                (503, "Service Unavailable", &b"degraded\n"[..])
-            } else {
-                (200, "OK", &b"ok\n"[..])
-            };
-            http_write_response(&mut stream, status, reason, "text/plain", body)
-        }
-        _ => http_write_response(&mut stream, 404, "Not Found", "text/plain", b"not found\n"),
-    };
-    let _ = result;
+        registry.opts.log.info(
+            "source drained",
+            &[
+                ("source", &report.name),
+                ("events", &report.events.to_string()),
+                ("segments", &report.segments.to_string()),
+                ("failed", report.failed.as_deref().unwrap_or("-")),
+            ],
+        );
+        sources.push(report);
+    }
+    ServeReport {
+        sources,
+        connections: registry.core.connections(),
+        frames: registry.core.frames(),
+        busy_responses: registry.core.busy(),
+        quarantined: registry.core.quarantined(),
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::net::Client;
+    use crate::daemon::STATUS_SCHEMA_VERSION;
+    use crate::net::{Client, NetError};
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Instant;
     use twpp_ir::{BlockId, FuncId};
 
     fn workload(n: usize) -> Vec<WppEvent> {

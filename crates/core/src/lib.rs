@@ -29,6 +29,7 @@
 pub mod archive;
 pub mod bitcodec;
 pub mod cache;
+pub mod daemon;
 pub mod dbb;
 pub mod dcg;
 pub mod dedup;

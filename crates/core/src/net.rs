@@ -1105,38 +1105,15 @@ pub fn http_write_response<S: Write>(
 /// response.
 pub fn http_get(addr: &str, path: &str) -> Result<(u16, String), NetError> {
     let request = format!("GET {path} HTTP/1.0\r\nHost: twpp-admin\r\nConnection: close\r\n\r\n");
-    let raw = if let Some(sock) = addr.strip_prefix("unix:") {
-        #[cfg(unix)]
-        {
-            let mut stream = std::os::unix::net::UnixStream::connect(sock)
-                .map_err(|e| NetError::Io(format!("connect {sock}: {e}")))?;
-            http_exchange(&mut stream, &request)?
-        }
-        #[cfg(not(unix))]
-        {
-            return Err(NetError::Io(format!(
-                "unix sockets are unsupported on this platform: {sock}"
-            )));
-        }
-    } else {
-        let tcp = addr.strip_prefix("tcp:").unwrap_or(addr);
-        let mut stream = std::net::TcpStream::connect(tcp)
-            .map_err(|e| NetError::Io(format!("connect {tcp}: {e}")))?;
-        http_exchange(&mut stream, &request)?
-    };
-    parse_http_response(&raw)
-}
-
-fn http_exchange<S: Read + Write>(stream: &mut S, request: &str) -> Result<Vec<u8>, NetError> {
+    let mut stream =
+        crate::daemon::connect(addr).map_err(|e| NetError::Io(format!("connect {e}")))?;
+    let mut raw = Vec::new();
     stream
         .write_all(request.as_bytes())
         .and_then(|()| stream.flush())
+        .and_then(|()| stream.read_to_end(&mut raw))
         .map_err(|e| NetError::Io(e.to_string()))?;
-    let mut raw = Vec::new();
-    stream
-        .read_to_end(&mut raw)
-        .map_err(|e| NetError::Io(e.to_string()))?;
-    Ok(raw)
+    parse_http_response(&raw)
 }
 
 fn parse_http_response(raw: &[u8]) -> Result<(u16, String), NetError> {

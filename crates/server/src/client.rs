@@ -6,13 +6,9 @@
 //! [`ClientError::Refused`] carrying the wire code, so callers can map
 //! `ERR_DEGRADED` to the same degraded exit the local CLI uses.
 
-use std::io;
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use twpp::ingest::ConnStream;
+use twpp::daemon::ConnStream;
 use twpp::net::{
     Answer, ArchiveStat, BudgetSpec, CurrencyReq, Frame, FramedStream, NetError, QueryReq,
     SliceReq,
@@ -75,27 +71,7 @@ impl Client {
     ///
     /// [`ClientError::Io`] when the socket cannot be opened.
     pub fn connect(spec: &str) -> Result<Client, ClientError> {
-        let stream: Box<dyn ConnStream> = if let Some(path) = spec.strip_prefix("unix:") {
-            #[cfg(unix)]
-            {
-                Box::new(
-                    UnixStream::connect(path)
-                        .map_err(|e: io::Error| ClientError::Io(format!("{path}: {e}")))?,
-                )
-            }
-            #[cfg(not(unix))]
-            {
-                return Err(ClientError::Io(format!(
-                    "unix sockets are not supported on this platform: {path}"
-                )));
-            }
-        } else {
-            let addr = spec.strip_prefix("tcp:").unwrap_or(spec);
-            let s = TcpStream::connect(addr)
-                .map_err(|e: io::Error| ClientError::Io(format!("{addr}: {e}")))?;
-            let _ = s.set_nodelay(true);
-            Box::new(s)
-        };
+        let stream = twpp::daemon::connect(spec).map_err(|e| ClientError::Io(e.to_string()))?;
         Ok(Client { framed: FramedStream::new(stream), busy_retries: 20 })
     }
 

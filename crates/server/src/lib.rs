@@ -18,12 +18,16 @@
 //! * [`fleet`] — tenant registry: scan/rescan of the fleet root, the
 //!   shared frame cache and the answer-summary cache, with per-uid
 //!   invalidation when archives change or vanish.
-//! * [`serve`](mod@serve) — the daemon: accept loop, per-connection workers,
-//!   admission control (`Busy`), per-request budgets, quarantine of
-//!   garbage connections, and the `/metrics`–`/status`–`/healthz`
-//!   admin plane; plus [`InProcServer`] for socket-free testing.
+//! * [`serve`](mod@serve) — the daemon: a [`twpp::daemon::Handler`]
+//!   with admission control (`Busy`), per-request budgets and the
+//!   fleet's `/status` section and gauges, run on the skeleton it
+//!   shares with `twpp serve-ingest` (accept loop, per-connection
+//!   workers, quarantine of garbage connections, drain, and the
+//!   `/metrics`–`/status`–`/healthz` admin plane); plus
+//!   [`InProcServer`] for socket-free testing.
 //! * [`client`] — the blocking client used by `twpp query --remote`,
-//!   `twpp serve-bench` and the e2e drills.
+//!   `twpp serve-bench` and the e2e drills; it connects through
+//!   [`twpp::daemon::connect`].
 //!
 //! See DESIGN.md §19 for the wire grammar of the serve verbs and the
 //! cache-invalidation rules.
@@ -40,5 +44,5 @@ pub use answer::{
 pub use client::{Client, ClientError};
 pub use fleet::{Fleet, ScanDelta, Tenant, DEFAULT_SUMMARY_CACHE_BYTES};
 pub use serve::{
-    serve, InProcServer, ServeError, ServeOptions, ServeReport, SERVE_STATUS_SCHEMA_VERSION,
+    serve, InProcServer, ServeError, ServeOptions, ServeReport,
 };

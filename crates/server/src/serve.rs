@@ -1,41 +1,37 @@
 //! The multi-tenant query daemon behind `twpp serve`.
 //!
-//! A threaded server over one [`Fleet`]: every connection gets a worker
-//! thread speaking the framed [`twpp::net`] protocol, every request a
+//! A [`twpp::daemon::Handler`] over one [`Fleet`]: the shared skeleton
+//! gives every connection a worker thread speaking the framed
+//! [`twpp::net`] protocol; this handler gives every request a
 //! [`Budget`] derived from the server's defaults and the request's
 //! [`BudgetSpec`] override, and every answer one of the four governed
 //! outcomes — `Answer{complete}`, `Answer{partial, coverage}`, `Busy`,
-//! or a typed `Error`. The failure edges mirror the ingest daemon
-//! (DESIGN.md §17): garbage framing quarantines one connection, never
-//! the daemon; admission past `max_inflight` is shed with `Busy`; an
-//! archive failing mid-read fails that request in isolation.
+//! or a typed `Error`. The failure edges are the skeleton's (DESIGN.md
+//! §17): garbage framing quarantines one connection, never the daemon;
+//! admission past `max_inflight` is shed with `Busy`; an archive
+//! failing mid-read fails that request in isolation; only
+//! `ERR_PROTOCOL` replies quarantine.
 //!
-//! The fleet root is rescanned every `rescan_ms` from the accept loop,
-//! so archives added or removed while the daemon runs appear or vanish
-//! without a restart — with both caches invalidated per retired uid
-//! (see [`Fleet::rescan`]).
+//! The fleet root is rescanned every `rescan_ms` from the accept loop's
+//! tick, so archives added or removed while the daemon runs appear or
+//! vanish without a restart — with both caches invalidated per retired
+//! uid (see [`Fleet::rescan`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use twpp::gov::{Budget, CancelToken, Limits};
-use twpp::ingest::{ConnStream, ServeListener};
-use twpp::net::{
-    http_read_request_path, http_write_response, Frame, FramedStream, NetError,
-    ERR_BAD_REQUEST, ERR_DEGRADED, ERR_DRAINING, ERR_PROTOCOL, ERR_SOURCE_FAILED,
-    ERR_UNKNOWN_ARCHIVE,
-};
+use twpp::daemon::{self, After, Core, Handler, ServeListener};
+use twpp::gov::{Budget, CancelToken, Limits, Retry};
 use twpp::net::BudgetSpec;
+use twpp::net::{
+    Frame, ERR_BAD_REQUEST, ERR_DEGRADED, ERR_PROTOCOL, ERR_SOURCE_FAILED, ERR_UNKNOWN_ARCHIVE,
+};
 use twpp::obs::{JsonWriter, Obs};
 
 use crate::answer::{
     answer_currency_req, answer_query_req, answer_slice_req, AnswerError,
 };
 use crate::fleet::{Fleet, Tenant, DEFAULT_SUMMARY_CACHE_BYTES};
-
-/// The version of the serve daemon's `/status` JSON document.
-pub const SERVE_STATUS_SCHEMA_VERSION: u64 = 1;
 
 /// Options for a [`serve`] run.
 #[derive(Clone, Debug)]
@@ -123,23 +119,37 @@ impl std::error::Error for ServeError {}
 
 /// Shared state of one daemon run.
 struct Registry {
+    core: Core,
     fleet: Fleet,
     opts: ServeOptions,
-    start: Instant,
-    draining: AtomicBool,
+    /// Uptime at which the accept loop's tick rescans the fleet root.
+    next_rescan_ms: AtomicU64,
     inflight: AtomicU64,
-    connections: AtomicU64,
     requests: AtomicU64,
     answers: AtomicU64,
     partial: AtomicU64,
     errors: AtomicU64,
-    busy: AtomicU64,
-    quarantined: AtomicU64,
 }
 
 impl Registry {
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+    /// Scans `root` into a fleet and builds the daemon state.
+    fn open(root: &std::path::Path, opts: ServeOptions) -> Result<Registry, ServeError> {
+        let fleet =
+            Fleet::new(root, opts.frame_cache_bytes, opts.summary_cache_bytes, opts.obs.clone());
+        fleet
+            .rescan()
+            .map_err(|e| ServeError::Root(format!("{}: {e}", root.display())))?;
+        Ok(Registry {
+            core: Core::new(opts.poll_ms, Retry::none(), opts.obs.clone()),
+            fleet,
+            next_rescan_ms: AtomicU64::new(opts.rescan_ms.max(1)),
+            opts,
+            inflight: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            answers: AtomicU64::new(0),
+            partial: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+        })
     }
 
     /// The effective [`Budget`] for a request: the spec's non-zero
@@ -161,7 +171,6 @@ impl Registry {
     }
 
     fn busy_reply(&self) -> Frame {
-        self.busy.fetch_add(1, Ordering::SeqCst);
         Frame::Busy { retry_after_ms: self.opts.retry_after_ms }
     }
 
@@ -271,194 +280,129 @@ impl Registry {
     }
 }
 
-/// One connection's lifecycle: stateless request/reply frames until
-/// close, drain, or quarantine.
-fn handle_conn(registry: &Registry, stream: Box<dyn ConnStream>) {
-    registry.connections.fetch_add(1, Ordering::SeqCst);
-    let mut framed = FramedStream::new(stream);
-    loop {
-        if registry.draining() {
-            let _ = framed.send(&Frame::Error {
-                code: ERR_DRAINING,
-                message: "server is draining".into(),
-            });
-            return;
-        }
-        let frame = match framed.recv_step() {
-            Ok(None) => continue,
-            Ok(Some(frame)) => frame,
-            Err(NetError::Closed) | Err(NetError::Io(_)) => return,
-            Err(garbage) => {
-                // Torn, oversized or corrupt framing: quarantine this
-                // connection with a typed refusal; the daemon lives on.
-                let _ = framed.send(&Frame::Error {
-                    code: ERR_PROTOCOL,
-                    message: garbage.to_string(),
-                });
-                registry.quarantined.fetch_add(1, Ordering::SeqCst);
-                return;
-            }
-        };
+impl Handler for Registry {
+    type Conn = ();
+    const COMMAND: &'static str = "serve";
+
+    fn core(&self) -> &Core {
+        &self.core
+    }
+
+    fn open(&self) {}
+
+    /// Stateless request/reply: admission control, then the route.
+    fn frame(&self, _conn: &mut (), frame: Frame) -> (Frame, After) {
         // Admission control: shed rather than queue when the daemon is
         // already answering `max_inflight` requests.
-        let admitted = {
-            let prev = registry.inflight.fetch_add(1, Ordering::SeqCst);
-            prev < registry.opts.max_inflight
-        };
+        let admitted = self.inflight.fetch_add(1, Ordering::SeqCst) < self.opts.max_inflight;
         let reply = if admitted {
-            registry.handle_request(&frame)
+            self.handle_request(&frame)
         } else {
-            registry.busy_reply()
+            self.busy_reply()
         };
-        registry.inflight.fetch_sub(1, Ordering::SeqCst);
-        let quarantine = matches!(reply, Frame::Error { code: ERR_PROTOCOL, .. });
-        if framed.send(&reply).is_err() {
-            return;
-        }
-        if quarantine {
-            registry.quarantined.fetch_add(1, Ordering::SeqCst);
-            return;
-        }
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        let after = if matches!(reply, Frame::Error { code: ERR_PROTOCOL, .. }) {
+            After::Quarantine
+        } else {
+            After::Continue
+        };
+        (reply, after)
     }
-}
 
-/// Builds the `/status` document. Reads only atomics, the tenant map
-/// lock and cache stats — never blocks on an in-flight request.
-fn status_json(registry: &Registry) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("status_schema_version");
-    w.uint(SERVE_STATUS_SCHEMA_VERSION);
-    w.key("command");
-    w.string("serve");
-    w.key("uptime_ms");
-    w.uint(registry.start.elapsed().as_millis() as u64);
-    w.key("draining");
-    w.boolean(registry.draining());
-    w.key("connections_total");
-    w.uint(registry.connections.load(Ordering::SeqCst));
-    w.key("requests_total");
-    w.uint(registry.requests.load(Ordering::SeqCst));
-    w.key("answers_total");
-    w.uint(registry.answers.load(Ordering::SeqCst));
-    w.key("partial_total");
-    w.uint(registry.partial.load(Ordering::SeqCst));
-    w.key("errors_total");
-    w.uint(registry.errors.load(Ordering::SeqCst));
-    w.key("busy_total");
-    w.uint(registry.busy.load(Ordering::SeqCst));
-    w.key("quarantined_total");
-    w.uint(registry.quarantined.load(Ordering::SeqCst));
-    for (key, stats) in [
-        ("frame_cache", registry.fleet.frame_cache().stats()),
-        ("summary_cache", registry.fleet.summary_stats()),
-    ] {
-        w.key(key);
-        w.begin_object();
-        w.key("resident_bytes");
-        w.uint(stats.resident_bytes);
-        w.key("entries");
-        w.uint(stats.entries);
-        w.key("hits");
-        w.uint(stats.hits);
-        w.key("misses");
-        w.uint(stats.misses);
-        w.key("evictions");
-        w.uint(stats.evictions);
-        w.key("evicted_bytes");
-        w.uint(stats.evicted_bytes);
-        w.end_object();
+    /// Rescans the fleet root every `rescan_ms`. A transiently
+    /// unlistable root is not fatal mid-run; the registry keeps serving
+    /// the archives it has.
+    fn tick(&self) {
+        // Only the accept loop reads or writes the deadline.
+        let now = self.core.uptime_ms();
+        if now >= self.next_rescan_ms.load(Ordering::Relaxed) {
+            self.next_rescan_ms
+                .store(now + self.opts.rescan_ms.max(1), Ordering::Relaxed);
+            let _ = self.fleet.rescan();
+        }
     }
-    w.key("archives");
-    w.begin_array();
-    for t in registry.fleet.list() {
-        w.begin_object();
-        w.key("name");
-        w.string(&t.name);
-        w.key("functions");
-        w.uint(t.archive.function_count() as u64);
-        w.key("degraded");
-        w.boolean(t.archive.is_degraded());
-        w.key("file_bytes");
-        w.uint(t.file_bytes);
-        w.key("decoded_functions");
-        w.uint(t.archive.decoded_count() as u64);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("open_failures");
-    w.begin_array();
-    for (name, why) in registry.fleet.open_failures() {
-        w.begin_object();
-        w.key("name");
-        w.string(&name);
-        w.key("error");
-        w.string(&why);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
 
-/// Serves one admin-plane request: parse the GET line, route, reply,
-/// close.
-fn handle_admin_conn(registry: &Registry, mut stream: Box<dyn ConnStream>) {
-    let path = match http_read_request_path(&mut stream) {
-        Ok(p) => p,
-        Err(_) => {
-            let _ =
-                http_write_response(&mut stream, 400, "Bad Request", "text/plain", b"bad request\n");
-            return;
+    /// Request outcomes, both caches, the tenant roster and the open
+    /// failures. Reads only atomics, the tenant map lock and cache
+    /// stats — never blocks on an in-flight request.
+    fn status(&self, w: &mut JsonWriter) {
+        for (key, value) in [
+            ("requests_total", &self.requests),
+            ("answers_total", &self.answers),
+            ("partial_total", &self.partial),
+            ("errors_total", &self.errors),
+        ] {
+            w.key(key);
+            w.uint(value.load(Ordering::SeqCst));
         }
-    };
-    let result = match path.as_str() {
-        "/metrics" => {
-            // Gauges are refreshed per scrape so an idle daemon still
-            // exposes a non-empty, parseable document.
-            let obs = &registry.opts.obs;
-            obs.gauge("twpp_serve_uptime_ms", "Milliseconds since daemon start")
-                .set(registry.start.elapsed().as_millis() as i64);
-            obs.gauge("twpp_serve_archives", "Archives currently registered")
-                .set(registry.fleet.len() as i64);
-            obs.gauge("twpp_serve_inflight", "Requests currently being answered")
-                .set(registry.inflight.load(Ordering::SeqCst) as i64);
-            obs.gauge(
-                "twpp_serve_frame_cache_resident_bytes",
-                "Decoded frame bytes resident in the shared cache",
-            )
-            .set(registry.fleet.frame_cache().resident_bytes() as i64);
-            obs.gauge(
-                "twpp_serve_summary_cache_resident_bytes",
-                "Answer summary bytes resident in the cache",
-            )
-            .set(registry.fleet.summary_stats().resident_bytes as i64);
-            http_write_response(
-                &mut stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                obs.prometheus_text().as_bytes(),
-            )
+        for (key, stats) in [
+            ("frame_cache", self.fleet.frame_cache().stats()),
+            ("summary_cache", self.fleet.summary_stats()),
+        ] {
+            w.key(key);
+            w.begin_object();
+            w.key("resident_bytes");
+            w.uint(stats.resident_bytes);
+            w.key("entries");
+            w.uint(stats.entries);
+            w.key("hits");
+            w.uint(stats.hits);
+            w.key("misses");
+            w.uint(stats.misses);
+            w.key("evictions");
+            w.uint(stats.evictions);
+            w.key("evicted_bytes");
+            w.uint(stats.evicted_bytes);
+            w.end_object();
         }
-        "/status" => http_write_response(
-            &mut stream,
-            200,
-            "OK",
-            "application/json",
-            status_json(registry).as_bytes(),
-        ),
-        "/healthz" => {
-            let (status, reason, body) = if registry.draining() {
-                (503, "Service Unavailable", &b"draining\n"[..])
-            } else {
-                (200, "OK", &b"ok\n"[..])
-            };
-            http_write_response(&mut stream, status, reason, "text/plain", body)
+        w.key("archives");
+        w.begin_array();
+        for t in self.fleet.list() {
+            w.begin_object();
+            w.key("name");
+            w.string(&t.name);
+            w.key("functions");
+            w.uint(t.archive.function_count() as u64);
+            w.key("degraded");
+            w.boolean(t.archive.is_degraded());
+            w.key("file_bytes");
+            w.uint(t.file_bytes);
+            w.key("decoded_functions");
+            w.uint(t.archive.decoded_count() as u64);
+            w.end_object();
         }
-        _ => http_write_response(&mut stream, 404, "Not Found", "text/plain", b"not found\n"),
-    };
-    let _ = result;
+        w.end_array();
+        w.key("open_failures");
+        w.begin_array();
+        for (name, why) in self.fleet.open_failures() {
+            w.begin_object();
+            w.key("name");
+            w.string(&name);
+            w.key("error");
+            w.string(&why);
+            w.end_object();
+        }
+        w.end_array();
+    }
+
+    fn refresh_gauges(&self, obs: &Obs) {
+        obs.gauge("twpp_serve_uptime_ms", "Milliseconds since daemon start")
+            .set(self.core.uptime_ms() as i64);
+        obs.gauge("twpp_serve_archives", "Archives currently registered")
+            .set(self.fleet.len() as i64);
+        obs.gauge("twpp_serve_inflight", "Requests currently being answered")
+            .set(self.inflight.load(Ordering::SeqCst) as i64);
+        obs.gauge(
+            "twpp_serve_frame_cache_resident_bytes",
+            "Decoded frame bytes resident in the shared cache",
+        )
+        .set(self.fleet.frame_cache().resident_bytes() as i64);
+        obs.gauge(
+            "twpp_serve_summary_cache_resident_bytes",
+            "Answer summary bytes resident in the cache",
+        )
+        .set(self.fleet.summary_stats().resident_bytes as i64);
+    }
 }
 
 /// Runs the daemon until `shutdown` is cancelled: initial fleet scan,
@@ -479,84 +423,20 @@ pub fn serve(
     opts: ServeOptions,
     shutdown: &CancelToken,
 ) -> Result<ServeReport, ServeError> {
-    let fleet = Fleet::new(root, opts.frame_cache_bytes, opts.summary_cache_bytes, opts.obs.clone());
-    fleet.rescan().map_err(|e| ServeError::Root(format!("{}: {e}", root.display())))?;
-    let registry = Registry {
-        fleet,
-        opts,
-        start: Instant::now(),
-        draining: AtomicBool::new(false),
-        inflight: AtomicU64::new(0),
-        connections: AtomicU64::new(0),
-        requests: AtomicU64::new(0),
-        answers: AtomicU64::new(0),
-        partial: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        busy: AtomicU64::new(0),
-        quarantined: AtomicU64::new(0),
-    };
-    listener
-        .set_nonblocking()
+    let registry = Registry::open(root, opts)?;
+    daemon::run(&registry, listener, admin, shutdown, Vec::new(), || ())
         .map_err(|e| ServeError::Io(e.to_string()))?;
-    if let Some(a) = &admin {
-        a.set_nonblocking().map_err(|e| ServeError::Io(e.to_string()))?;
-    }
-
-    let poll = Duration::from_millis(registry.opts.poll_ms.max(1));
-    let rescan_every = Duration::from_millis(registry.opts.rescan_ms.max(1));
-    let admin_done = AtomicBool::new(false);
-    let report = std::thread::scope(|scope| {
-        if let Some(admin_listener) = admin {
-            let r = &registry;
-            let done = &admin_done;
-            scope.spawn(move || {
-                let tick = Duration::from_millis(250);
-                while !done.load(Ordering::SeqCst) {
-                    match admin_listener.accept(tick) {
-                        Ok(Some(stream)) => handle_admin_conn(r, stream),
-                        Ok(None) => std::thread::sleep(Duration::from_millis(5)),
-                        Err(_) => std::thread::sleep(tick),
-                    }
-                }
-            });
-        }
-
-        let mut workers = Vec::new();
-        let mut last_rescan = Instant::now();
-        while !shutdown.is_cancelled() {
-            if last_rescan.elapsed() >= rescan_every {
-                last_rescan = Instant::now();
-                // A transiently unlistable root is not fatal mid-run;
-                // the registry keeps serving the archives it has.
-                let _ = registry.fleet.rescan();
-            }
-            match listener.accept(poll) {
-                Ok(Some(stream)) => {
-                    let r = &registry;
-                    workers.push(scope.spawn(move || handle_conn(r, stream)));
-                }
-                Ok(None) => std::thread::sleep(poll),
-                Err(_) => std::thread::sleep(poll),
-            }
-        }
-        registry.draining.store(true, Ordering::SeqCst);
-        drop(listener);
-        for w in workers {
-            let _ = w.join();
-        }
-        admin_done.store(true, Ordering::SeqCst);
-        ServeReport {
-            connections: registry.connections.load(Ordering::SeqCst),
-            requests: registry.requests.load(Ordering::SeqCst),
-            answers: registry.answers.load(Ordering::SeqCst),
-            partial: registry.partial.load(Ordering::SeqCst),
-            errors: registry.errors.load(Ordering::SeqCst),
-            busy: registry.busy.load(Ordering::SeqCst),
-            quarantined: registry.quarantined.load(Ordering::SeqCst),
-            archives: registry.fleet.len() as u64,
-        }
-    });
-    Ok(report)
+    let core = &registry.core;
+    Ok(ServeReport {
+        connections: core.connections(),
+        requests: registry.requests.load(Ordering::SeqCst),
+        answers: registry.answers.load(Ordering::SeqCst),
+        partial: registry.partial.load(Ordering::SeqCst),
+        errors: registry.errors.load(Ordering::SeqCst),
+        busy: core.busy(),
+        quarantined: core.quarantined(),
+        archives: registry.fleet.len() as u64,
+    })
 }
 
 /// An in-process handle for answering request frames without a socket —
@@ -573,27 +453,7 @@ impl InProcServer {
     ///
     /// [`ServeError::Root`] when the root cannot be listed.
     pub fn new(root: &std::path::Path, opts: ServeOptions) -> Result<InProcServer, ServeError> {
-        let fleet =
-            Fleet::new(root, opts.frame_cache_bytes, opts.summary_cache_bytes, opts.obs.clone());
-        fleet
-            .rescan()
-            .map_err(|e| ServeError::Root(format!("{}: {e}", root.display())))?;
-        Ok(InProcServer {
-            registry: Registry {
-                fleet,
-                opts,
-                start: Instant::now(),
-                draining: AtomicBool::new(false),
-                inflight: AtomicU64::new(0),
-                connections: AtomicU64::new(0),
-                requests: AtomicU64::new(0),
-                answers: AtomicU64::new(0),
-                partial: AtomicU64::new(0),
-                errors: AtomicU64::new(0),
-                busy: AtomicU64::new(0),
-                quarantined: AtomicU64::new(0),
-            },
-        })
+        Ok(InProcServer { registry: Registry::open(root, opts)? })
     }
 
     /// Answers one request frame exactly as the daemon would.
